@@ -16,7 +16,7 @@ import argparse
 from dataclasses import replace
 from pathlib import Path
 
-from levnet.cli import read_sim_config
+from levnet.cli import read_sim_config, write_curve_csv, write_study_csv
 from levnet.growth import replication_study
 from levnet.network import cluster_curve, components, correlation_matrix, threshold_network
 from levnet.sim import SimConfig, run
@@ -48,11 +48,7 @@ def main() -> None:
             for t, (a, l) in enumerate(zip(output.mean_assets, output.mean_leverage)):
                 traces.write(f"{seed},{t},{fmt(a)},{fmt(l)}\n")
             matrix = correlation_matrix(output.leverage_series_set())
-            curve = cluster_curve(matrix, grid)
-            with open(out / f"curve_seed{seed}.csv", "w", encoding="utf-8") as fh:
-                fh.write("rho,largest_fraction\n")
-                for rho, frac in curve.points:
-                    fh.write(f"{fmt(rho)},{fmt(frac)}\n")
+            write_curve_csv(cluster_curve(matrix, grid), out / f"curve_seed{seed}.csv")
             net = threshold_network(matrix, 0.8)
             part = components(net)
             topo.write(f"{seed},{part.n},{net.n_edges},{fmt(part.largest_fraction)},"
@@ -61,16 +57,7 @@ def main() -> None:
                   f"final mean leverage {output.mean_leverage[-1]:.2f}, "
                   f"largest cluster at 0.8: {part.largest_fraction:.2f}")
 
-    study = replication_study(config, args.runs)
-    with open(out / "study.csv", "w", encoding="utf-8") as fh:
-        fh.write("run,bank_id,role,leverage_growth,assets_growth,"
-                 "population_median_assets_growth,population_median_leverage_growth\n")
-        for rec in study.run_records:
-            roles = {rec.bank_a: "pair1", rec.bank_b: "pair2"}
-            for g in rec.records:
-                fh.write(f"{rec.run_index},{g.bank_id},{roles.get(g.bank_id, 'population')},"
-                         f"{fmt(g.leverage_growth)},{fmt(g.assets_growth)},"
-                         f"{fmt(rec.median_assets_growth)},{fmt(rec.median_leverage_growth)}\n")
+    write_study_csv(replication_study(config, args.runs), out / "study.csv")
     print(f"wrote {args.seeds} curves, traces, topology and a {args.runs}-run study to {out}/")
 
 

@@ -14,7 +14,9 @@ from __future__ import annotations
 import argparse
 import csv
 import datetime
+import io
 import json
+import math
 import sys
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
@@ -78,6 +80,12 @@ class IngestResult:
 
 def _fmt(x: float) -> str:
     return repr(float(x))
+
+
+def _csv_field(text: str) -> str:
+    """``text`` as a csv writer emits it: quoted only when it must be."""
+    csv.writer(buf := io.StringIO()).writerow([text])
+    return buf.getvalue()[:-2]
 
 
 def ingest_panel(spec: IngestSpec) -> IngestResult:
@@ -169,13 +177,34 @@ def write_panel_csv(panel: bs.Panel, path: Path) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write("bank_id,date,assets,liabilities\n")
         for m in panel.members:
+            bank = _csv_field(m.bank_id)
             for t, a, l in zip(m.times, m.assets, m.liabilities):
-                fh.write(f"{m.bank_id},{labels[pos[int(t)]]},{_fmt(a)},{_fmt(l)}\n")
+                fh.write(f"{bank},{labels[pos[int(t)]]},{_fmt(a)},{_fmt(l)}\n")
+
+
+def write_curve_csv(curve: net.ClusterCurve, path: Path) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("rho,largest_fraction\n")
+        for rho, frac in curve.points:
+            fh.write(f"{_fmt(rho)},{_fmt(frac)}\n")
+
+
+def write_study_csv(study: ReplicationStudy, path: Path) -> None:
+    """One row per bank and run; the top pair's roles are pair1 and pair2."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("run,bank_id,role,leverage_growth,assets_growth,"
+                 "population_median_assets_growth,population_median_leverage_growth\n")
+        for rec in study.run_records:
+            roles = {rec.bank_a: "pair1", rec.bank_b: "pair2"}
+            for g in rec.records:
+                fh.write(f"{rec.run_index},{g.bank_id},{roles.get(g.bank_id, 'population')},"
+                         f"{_fmt(g.leverage_growth)},{_fmt(g.assets_growth)},"
+                         f"{_fmt(rec.median_assets_growth)},{_fmt(rec.median_leverage_growth)}\n")
 
 
 def _write_json(obj: dict, path: Path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
+        json.dump(obj, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 
@@ -275,16 +304,15 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _load_complete_panel(path: str) -> bs.Panel:
+def _load_matrix(path: str) -> net.CorrelationMatrix:
     result = ingest_panel(IngestSpec(path))
     if len(result.complete.members) < 2:
         raise IngestError(f"{path}: need at least 2 complete banks")
-    return result.complete
+    return net.leverage_correlation(result.complete)
 
 
 def cmd_network(args: argparse.Namespace) -> int:
-    panel = _load_complete_panel(args.input)
-    matrix = net.leverage_correlation(panel)
+    matrix = _load_matrix(args.input)
     if args.avg_degree is not None:
         if args.mode == "absolute":
             raise ValueError("--avg-degree ranks signed coefficients; use --rho with --mode absolute")
@@ -295,19 +323,21 @@ def cmd_network(args: argparse.Namespace) -> int:
 
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    names = [_csv_field(bank) for bank in network.nodes]
     with open(out / "edges.csv", "w", encoding="utf-8") as fh:
         fh.write("bank_a,bank_b,r\n")
         for i, j, r in network.edges:
-            fh.write(f"{network.nodes[i]},{network.nodes[j]},{_fmt(r)}\n")
+            fh.write(f"{names[i]},{names[j]},{_fmt(r)}\n")
     with open(out / "components.csv", "w", encoding="utf-8") as fh:
         fh.write("bank_id,component_id,component_size\n")
-        for k, bank in enumerate(network.nodes):
-            comp = part.assignment[k]
+        for bank, comp in zip(names, part.assignment):
             fh.write(f"{bank},{comp},{part.sizes[comp]}\n")
     _write_json({"n": network.n, "n_edges": network.n_edges,
                  "target_edges": network.target_edges,
                  "avg_degree": network.avg_degree,
-                 "threshold": network.threshold, "mode": network.mode,
+                 # top-M with M = 0 has no cut: null, as JSON has no NaN
+                 "threshold": None if math.isnan(network.threshold) else network.threshold,
+                 "mode": network.mode,
                  "largest_fraction": part.largest_fraction,
                  "n_components": part.n_components,
                  "n_isolated": part.n_isolated,
@@ -335,16 +365,12 @@ def _rho_grid(rho_min: float, rho_max: float, rho_step: float) -> list[float]:
 
 
 def cmd_curve(args: argparse.Namespace) -> int:
-    panel = _load_complete_panel(args.input)
-    matrix = net.leverage_correlation(panel)
+    matrix = _load_matrix(args.input)
     curve = net.cluster_curve(matrix, _rho_grid(args.rho_min, args.rho_max, args.rho_step),
                               args.mode)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    with open(out, "w", encoding="utf-8") as fh:
-        fh.write("rho,largest_fraction\n")
-        for rho, frac in curve.points:
-            fh.write(f"{_fmt(rho)},{_fmt(frac)}\n")
+    write_curve_csv(curve, out)
     print(f"curve: {len(curve.points)} thresholds -> {out}")
     return EXIT_OK
 
@@ -386,15 +412,7 @@ def cmd_study(args: argparse.Namespace) -> int:
     study: ReplicationStudy = replication_study(config, args.runs)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    with open(out, "w", encoding="utf-8") as fh:
-        fh.write("run,bank_id,role,leverage_growth,assets_growth,"
-                 "population_median_assets_growth,population_median_leverage_growth\n")
-        for rec in study.run_records:
-            roles = {rec.bank_a: "pair1", rec.bank_b: "pair2"}
-            for g in rec.records:
-                fh.write(f"{rec.run_index},{g.bank_id},{roles.get(g.bank_id, 'population')},"
-                         f"{_fmt(g.leverage_growth)},{_fmt(g.assets_growth)},"
-                         f"{_fmt(rec.median_assets_growth)},{_fmt(rec.median_leverage_growth)}\n")
+    write_study_csv(study, out)
     print(f"study: {study.runs} replications -> {out}")
     return EXIT_OK
 

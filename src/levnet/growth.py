@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .balance_sheet import BankSeries, leverage_of
-from .network import CorrelationMatrix, correlation_matrix
+from .network import CorrelationMatrix, InsufficientPairsError, correlation_matrix, top_m_network
 from .sim import SimConfig, SimOutput, run
 
 __all__ = [
@@ -71,18 +71,11 @@ class ReplicationStudy:
 def most_correlated_pair(matrix: CorrelationMatrix) -> tuple[str, str, float]:
     """Bank pair with the largest defined coefficient; ties go to the
     lexicographically first (i, j) pair."""
-    if matrix.n < 2:
-        raise ValueError("need at least 2 banks")
-    vals = np.array(matrix.values)
-    iu = np.tril_indices(matrix.n)
-    vals[iu] = -np.inf
-    vals[np.isnan(vals)] = -np.inf
-    flat = int(np.argmax(vals))  # row-major scan = lexicographic pair order
-    best = vals.flat[flat]
-    if best == -np.inf:
-        raise NoDefinedPairsError("no defined off-diagonal coefficients")
-    i, j = divmod(flat, matrix.n)
-    return matrix.bank_ids[i], matrix.bank_ids[j], float(best)
+    try:
+        i, j, r = top_m_network(matrix, m=1).edges[0]
+    except InsufficientPairsError as exc:
+        raise NoDefinedPairsError("no defined off-diagonal coefficients") from exc
+    return matrix.bank_ids[i], matrix.bank_ids[j], r
 
 
 def growth_record(series: BankSeries) -> GrowthRecord:

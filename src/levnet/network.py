@@ -4,7 +4,9 @@ Pairwise Pearson coefficients between banks' leverage series define an
 undirected graph: two banks are linked when their coefficient clears a
 threshold rho (``signed`` mode, r >= rho) or when its magnitude does
 (``absolute`` mode, |r| >= rho). Clusters are connected components.
-Sweeping rho yields the largest-cluster fraction curve.
+Sweeping rho yields the largest-cluster fraction curve: single linkage,
+one descending sort of the pairs and one union-find pass. Top-M is the
+threshold network at the M-th largest coefficient, so ties are kept.
 
 Constant (zero-variance) series have no defined correlation; their matrix
 entries carry NaN, they are kept as nodes, and they are never linked.
@@ -13,7 +15,7 @@ entries carry NaN, they are kept as nodes, and they are never linked.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Iterator, Literal, Sequence
 
 import numpy as np
@@ -101,13 +103,18 @@ class CorrelationMatrix:
 
     def defined_pairs(self) -> Iterator[tuple[int, int, float]]:
         """Upper-triangle (i, j, r) triples with a defined coefficient, in lexicographic order."""
-        vals = self.values
-        for i in range(self.n - 1):
-            row = vals[i]
-            for j in range(i + 1, self.n):
-                r = row[j]
-                if not math.isnan(r):
-                    yield i, j, float(r)
+        ii, jj, r, _ = _pairs(self)
+        yield from zip(ii.tolist(), jj.tolist(), r.tolist())
+
+
+def _pairs(matrix: CorrelationMatrix, mode: LinkMode = "signed") -> tuple[np.ndarray, ...]:
+    """Defined upper-triangle pairs as arrays (i, j, r) in lexicographic order,
+    plus each pair's link strength: r in signed mode, |r| in absolute mode."""
+    if mode not in ("signed", "absolute"):
+        raise ValueError(f"unknown link mode {mode!r}")
+    ii, jj = np.nonzero(np.triu(~np.isnan(matrix.values), k=1))  # row-major
+    r = matrix.values[ii, jj]
+    return ii, jj, r, (r if mode == "signed" else np.abs(r))
 
 
 def correlation_matrix(series_set: Sequence[LeverageSeries]) -> CorrelationMatrix:
@@ -173,26 +180,14 @@ class LeverageNetwork:
         return 2.0 * self.n_edges / self.n if self.n else 0.0
 
 
-def _link_mask(matrix: CorrelationMatrix, rho: float, mode: LinkMode) -> np.ndarray:
-    vals = matrix.values
-    with np.errstate(invalid="ignore"):
-        if mode == "signed":
-            mask = vals >= rho
-        elif mode == "absolute":
-            mask = np.abs(vals) >= rho
-        else:
-            raise ValueError(f"unknown link mode {mode!r}")
-    return mask
-
-
 def threshold_network(matrix: CorrelationMatrix, rho: float,
                       mode: LinkMode = "signed") -> LeverageNetwork:
     """Link every defined pair whose coefficient clears rho (inclusive)."""
     if not -1.0 <= rho <= 1.0:
         raise ValueError(f"threshold must lie in [-1, 1], got {rho}")
-    mask = _link_mask(matrix, rho, mode)
-    ii, jj = np.nonzero(np.triu(mask, k=1))
-    edges = tuple((int(i), int(j), float(matrix.values[i, j])) for i, j in zip(ii, jj))
+    ii, jj, r, strength = _pairs(matrix, mode)
+    keep = strength >= rho
+    edges = tuple(zip(ii[keep].tolist(), jj[keep].tolist(), r[keep].tolist()))
     return LeverageNetwork(matrix.bank_ids, edges, float(rho), mode)
 
 
@@ -201,8 +196,9 @@ def top_m_network(matrix: CorrelationMatrix, m: int | None = None,
     """Link the M most correlated pairs (signed ordering).
 
     Pass either ``m`` or ``avg_degree``; an average degree k maps to
-    M = round(k * n / 2), half away from zero. Ties with the M-th largest
-    coefficient are all included, so the realized edge count can exceed M.
+    M = round(k * n / 2), half away from zero. The result is the threshold
+    network at the M-th largest coefficient, so every tie with that cut is
+    included and the realized edge count can exceed M.
     """
     if (m is None) == (avg_degree is None):
         raise ValueError("pass exactly one of m and avg_degree")
@@ -212,16 +208,14 @@ def top_m_network(matrix: CorrelationMatrix, m: int | None = None,
         m = int(math.floor(avg_degree * matrix.n / 2.0 + 0.5))
     if m < 0:
         raise ValueError(f"edge count must be nonnegative, got {m}")
-    pairs = list(matrix.defined_pairs())
-    if m > len(pairs):
+    r = _pairs(matrix)[2]
+    if m > len(r):
         raise InsufficientPairsError(
-            f"requested {m} edges but only {len(pairs)} defined pairs exist")
+            f"requested {m} edges but only {len(r)} defined pairs exist")
     if m == 0:
         return LeverageNetwork(matrix.bank_ids, (), math.nan, "signed", 0)
-    pairs.sort(key=lambda p: (-p[2], p[0], p[1]))
-    cut = pairs[m - 1][2]
-    edges = tuple(sorted(p for p in pairs if p[2] >= cut))
-    return LeverageNetwork(matrix.bank_ids, edges, cut, "signed", m)
+    cut = r[np.argsort(-r, kind="stable")[m - 1]]
+    return replace(threshold_network(matrix, cut), target_edges=m)
 
 
 @dataclass(frozen=True)
@@ -249,33 +243,34 @@ class ComponentPartition:
         return sum(1 for s in self.sizes if s == 1)
 
 
+def _find(parent: list[int], a: int) -> int:
+    while parent[a] != a:
+        parent[a] = parent[parent[a]]
+        a = parent[a]
+    return a
+
+
+def _merge(parent: list[int], size: list[int], pairs: Iterable[tuple[int, int]]) -> None:
+    """Union-find: join the clusters of every pair in place. ``size`` is exact at
+    roots and no entry exceeds its root's, so max(size) is the largest cluster."""
+    for i, j in pairs:
+        i, j = _find(parent, i), _find(parent, j)
+        if i != j:
+            if size[i] < size[j]:
+                i, j = j, i
+            parent[j] = i
+            size[i] += size[j]
+
+
 def components(network: LeverageNetwork) -> ComponentPartition:
     """Union-find decomposition of the network into clusters."""
     n = network.n
-    parent = list(range(n))
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for i, j, _ in network.edges:
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[max(ri, rj)] = min(ri, rj)
-
-    roots = [find(i) for i in range(n)]
+    parent, size = list(range(n)), [1] * n
+    _merge(parent, size, ((i, j) for i, j, _ in network.edges))
     ids: dict[int, int] = {}
-    assignment = []
-    for r in roots:
-        if r not in ids:
-            ids[r] = len(ids)
-        assignment.append(ids[r])
-    sizes = [0] * len(ids)
-    for c in assignment:
-        sizes[c] += 1
-    return ComponentPartition(tuple(assignment), tuple(sizes), max(sizes) / n)
+    assignment = tuple(ids.setdefault(_find(parent, a), len(ids)) for a in range(n))
+    sizes = tuple(size[root] for root in ids)
+    return ComponentPartition(assignment, sizes, max(sizes) / n)
 
 
 @dataclass(frozen=True, eq=False)
@@ -310,8 +305,15 @@ def cluster_curve(matrix: CorrelationMatrix, rho_grid: Iterable[float],
     rhos = [float(r) for r in rho_grid]
     if any(b <= a for a, b in zip(rhos, rhos[1:])):
         raise ValueError("rho grid must be strictly increasing")
-    points = []
-    for rho in rhos:
-        part = components(threshold_network(matrix, rho, mode))
-        points.append((rho, part.largest_fraction))
-    return ClusterCurve(tuple(points), mode)
+    if not all(-1.0 <= rho <= 1.0 for rho in rhos):
+        raise ValueError(f"thresholds must lie in [-1, 1], got [{rhos[0]}, {rhos[-1]}]")
+    ii, jj, _, strength = _pairs(matrix, mode)
+    order = np.argsort(-strength, kind="stable")
+    ii, jj = ii[order], jj[order]
+    # the pairs that clear each rho form a prefix of the ranking
+    ends = np.searchsorted(-strength[order], [-rho for rho in rhos], side="right").tolist()[::-1]
+    parent, size, fractions = list(range(matrix.n)), [1] * matrix.n, []
+    for done, end in zip([0] + ends, ends):
+        _merge(parent, size, zip(ii[done:end].tolist(), jj[done:end].tolist()))
+        fractions.append(max(size) / matrix.n)
+    return ClusterCurve(tuple(zip(rhos, fractions[::-1])), mode)

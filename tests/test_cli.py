@@ -1,3 +1,5 @@
+import csv
+import hashlib
 import json
 from pathlib import Path
 
@@ -17,7 +19,10 @@ from levnet.cli import (
     read_sim_config,
     write_panel_csv,
 )
+from levnet.balance_sheet import Panel
 from levnet.sim import ConfigError, SimConfig
+
+from conftest import series_from_leverage
 
 WELL_FORMED = """bank_id,date,assets,liabilities
 alpha,2005-03-31,120.0,100.0
@@ -319,3 +324,98 @@ def test_panel_csv_uses_roundtrip_float_format(tmp_path, argentina_panel):
     back = tmp_path / "q.csv"
     write_panel_csv(again.panel, back)
     assert path.read_bytes() == back.read_bytes()
+
+
+def reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def test_zero_average_degree_summary_is_strict_json(tmp_path, modular_panel):
+    src = tmp_path / "modular.csv"
+    write_panel_csv(modular_panel, src)
+    out = tmp_path / "net"
+    assert main(["network", "--input", str(src), "--avg-degree", "0",
+                 "--out-dir", str(out)]) == EXIT_OK
+    summary = json.loads((out / "summary.json").read_text(), parse_constant=reject_constant)
+    assert summary["threshold"] is None
+    assert summary["target_edges"] == 0 and summary["n_edges"] == 0
+
+
+def test_bank_ids_that_need_quoting_round_trip(tmp_path):
+    ids = ("Banco, SA", 'Caja "Rural"', "plain")
+    paths = ([1.0, 2.0, 4.0, 3.0, 5.0], [2.0, 3.0, 5.0, 4.0, 7.0], [5.0, 4.0, 2.0, 3.0, 1.0])
+    panel = Panel.from_members("quoted", [series_from_leverage(b, range(5), lev)
+                                          for b, lev in zip(ids, paths)])
+    src = tmp_path / "p.csv"
+    write_panel_csv(panel, src)
+    assert src.read_text().splitlines()[1].startswith('"Banco, SA",')
+    assert ingest_panel(IngestSpec(str(src), mode="strict")).complete.bank_ids == ids
+    back = tmp_path / "back"
+    assert main(["ingest", "--input", str(src), "--out-dir", str(back)]) == EXIT_OK
+    assert (back / "panel.csv").read_bytes() == src.read_bytes()
+    out = tmp_path / "net"
+    assert main(["network", "--input", str(back / "panel.csv"), "--rho", "-1",
+                 "--out-dir", str(out)]) == EXIT_OK
+    with open(out / "edges.csv", newline="", encoding="utf-8") as fh:
+        edges = [(row["bank_a"], row["bank_b"]) for row in csv.DictReader(fh)]
+    assert edges == [(ids[0], ids[1]), (ids[0], ids[2]), (ids[1], ids[2])]
+    with open(out / "components.csv", newline="", encoding="utf-8") as fh:
+        assert [row["bank_id"] for row in csv.DictReader(fh)] == list(ids)
+
+
+# SHA-256 of each output on the modular fixture, recorded before the network
+# layer moved to one pair extraction and one union-find sweep. They pin the
+# bytes that any refactor must keep. The correlations come from a BLAS matrix
+# product, so another BLAS build may round differently; these were recorded
+# with numpy 2.4.6 and OpenBLAS 0.3.31 on x86-64.
+GOLDEN_PANEL = "e611f274b77501fcd304148ad6d08b03423a6a79e6550469a76489ae0ab3e6cc"
+GOLDEN_NETWORK = {
+    ("--rho", "0.8"): {
+        "edges.csv": "a69a49e5f4e9ea9db12b0e9fe2fcf53f1cd94a51b3d177434f1f6e5c63de3797",
+        "components.csv": "c1e91794eb62c42dae52814267d6e1e48e5ab555d4c19c931438d96d10d712e5",
+        "summary.json": "349a14a393f62c1794b23ed9ea84dd8357b8431d26ea037c6d1683d7778de0ef",
+    },
+    ("--rho", "0.6", "--mode", "absolute"): {
+        "edges.csv": "028c0d2054e28cf36051f51669fd74d623c1250cf809995518a1331835ba9ad4",
+        "components.csv": "076e264a4abd895fbf4486788a8a9b074abef16598f1023196115f78a26ba0c5",
+        "summary.json": "6f7c5bf05becf84fa6512876473ea64c891daaf726eb3d978900a9d2c26d1bf7",
+    },
+    ("--avg-degree", "2.5"): {
+        "edges.csv": "a5e6888cdd4ebec7e0960014e87bfeba0e209a5b9eb6662797270784dc61a6dc",
+        "components.csv": "0bfd817f7941313b4e228b9fd2c60fc88da856f08aeeb2954169e4bb6fef553f",
+        "summary.json": "c707730851babfa0fe9e7bec7b9928e97e38a8d36238351dc2b7f4da74ad1121",
+    },
+}
+GOLDEN_CURVE = {
+    "signed": "ec923795db4e85edc2c2b86cce30456a9e865376cb2743a1e83bf0ee7be8c69d",
+    "absolute": "08c7743a7bf728c7782e280dbe496562a9ca5cbab527c0bea3133d2df2e2a570",
+}
+
+
+def sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+class TestGoldenDigests:
+    @pytest.fixture()
+    def modular_csv(self, tmp_path, modular_panel):
+        src = tmp_path / "modular.csv"
+        write_panel_csv(modular_panel, src)
+        return src
+
+    def test_panel(self, modular_csv):
+        assert sha256(modular_csv) == GOLDEN_PANEL
+
+    @pytest.mark.parametrize("flags", list(GOLDEN_NETWORK), ids=" ".join)
+    def test_network(self, tmp_path, modular_csv, flags):
+        out = tmp_path / "net"
+        assert main(["network", "--input", str(modular_csv), *flags,
+                     "--out-dir", str(out)]) == EXIT_OK
+        assert {name: sha256(out / name) for name in GOLDEN_NETWORK[flags]} == GOLDEN_NETWORK[flags]
+
+    @pytest.mark.parametrize("mode", list(GOLDEN_CURVE))
+    def test_curve(self, tmp_path, modular_csv, mode):
+        out = tmp_path / "curve.csv"
+        assert main(["curve", "--input", str(modular_csv), "--mode", mode,
+                     "--out", str(out)]) == EXIT_OK
+        assert sha256(out) == GOLDEN_CURVE[mode]

@@ -3,9 +3,10 @@ from collections import deque
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from levnet.balance_sheet import Panel, filter_complete, leverage_series
+from levnet.growth import NoDefinedPairsError, most_correlated_pair
 from levnet.network import (
     CorrelationMatrix,
     GridMismatchError,
@@ -335,3 +336,110 @@ class TestClusterCurve:
 def test_leverage_correlation_filters_then_correlates(modular_panel):
     m = leverage_correlation(modular_panel)
     assert m.bank_ids == filter_complete(modular_panel).bank_ids
+
+
+# -- reference oracles for the single-sweep constructions -------------------
+
+SIGNED_GRID = [round(-1.0 + 0.05 * k, 10) for k in range(41)]
+UNIT_GRID = [round(0.01 * k, 10) for k in range(101)]
+
+
+def tied_matrix(rng, n, n_constant):
+    """Symmetric matrix with coefficients on the 0.05 grid, so that pairs tie
+    with each other and with grid points; ``n_constant`` random banks are
+    zero-variance (NaN rows and columns)."""
+    vals = np.triu(np.round(rng.uniform(-1.0, 1.0, size=(n, n)) * 20.0) / 20.0, k=1)
+    vals = vals + vals.T
+    constant = rng.choice(n, size=n_constant, replace=False)
+    vals[constant, :] = math.nan
+    vals[:, constant] = math.nan
+    np.fill_diagonal(vals, 1.0)
+    return CorrelationMatrix(tuple(f"N{i:03d}" for i in range(n)), vals)
+
+
+def curve_oracle(matrix, grid, mode):
+    """Rebuild the network and its partition at every threshold."""
+    return tuple((rho, components(threshold_network(matrix, rho, mode)).largest_fraction)
+                 for rho in grid)
+
+
+def threshold_oracle(matrix, rho, mode):
+    """Dense link mask, upper triangle, row-major nonzero scan."""
+    vals = matrix.values
+    with np.errstate(invalid="ignore"):
+        mask = (vals if mode == "signed" else np.abs(vals)) >= rho
+    ii, jj = np.nonzero(np.triu(mask, k=1))
+    return tuple((int(i), int(j), float(vals[i, j])) for i, j in zip(ii, jj))
+
+
+def most_correlated_oracle(matrix):
+    """Masked argmax over the strict upper triangle; None when nothing is defined."""
+    vals = np.array(matrix.values)
+    vals[np.tril_indices(matrix.n)] = -np.inf
+    vals[np.isnan(vals)] = -np.inf
+    flat = int(np.argmax(vals))  # row-major scan = lexicographic pair order
+    if vals.flat[flat] == -np.inf:
+        return None
+    i, j = divmod(flat, matrix.n)
+    return matrix.bank_ids[i], matrix.bank_ids[j], float(vals.flat[flat])
+
+
+tied_matrices = st.builds(
+    lambda seed, n, k: tied_matrix(np.random.default_rng(seed), n, min(k, n)),
+    st.integers(min_value=0, max_value=2 ** 32 - 1),
+    st.integers(min_value=2, max_value=24),
+    st.integers(min_value=0, max_value=3))
+
+
+class TestSingleSweepOracles:
+    @settings(max_examples=60, deadline=None)
+    @given(tied_matrices)
+    def test_curve_equals_per_threshold_rebuild(self, matrix):
+        for mode in ("signed", "absolute"):
+            for grid in (SIGNED_GRID, UNIT_GRID):
+                assert cluster_curve(matrix, grid, mode).points == curve_oracle(matrix, grid, mode)
+
+    def test_curve_equals_rebuild_on_modular_panel(self, modular_panel):
+        matrix = leverage_correlation(modular_panel)
+        for mode in ("signed", "absolute"):
+            assert (cluster_curve(matrix, UNIT_GRID, mode).points
+                    == curve_oracle(matrix, UNIT_GRID, mode))
+
+    @settings(max_examples=60, deadline=None)
+    @given(tied_matrices)
+    def test_threshold_equals_mask_scan(self, matrix):
+        for mode in ("signed", "absolute"):
+            for rho in SIGNED_GRID:
+                net = threshold_network(matrix, rho, mode)
+                assert net.edges == threshold_oracle(matrix, rho, mode)
+
+    @settings(max_examples=40, deadline=None)
+    @given(tied_matrices)
+    def test_top_m_is_threshold_network_at_its_cut(self, matrix):
+        ranked = sorted((r for _, _, r in matrix.defined_pairs()), reverse=True)
+        for k in range(1, len(ranked) + 1):
+            net = top_m_network(matrix, m=k)
+            assert net.threshold == ranked[k - 1]
+            assert net.target_edges == k and net.mode == "signed"
+            assert net.edges == threshold_network(matrix, net.threshold).edges
+        empty = top_m_network(matrix, m=0)
+        assert empty.edges == () and math.isnan(empty.threshold)
+
+    @settings(max_examples=80, deadline=None)
+    @given(tied_matrices)
+    def test_most_correlated_pair_equals_masked_argmax(self, matrix):
+        expected = most_correlated_oracle(matrix)
+        if expected is None:
+            with pytest.raises(NoDefinedPairsError):
+                most_correlated_pair(matrix)
+        else:
+            assert most_correlated_pair(matrix) == expected
+
+    def test_curve_rejects_out_of_range_rho_and_unknown_mode(self, six_bank_matrix):
+        for grid in ([0.5, 1.5], [-1.5, 0.0], [0.2, math.nan]):
+            with pytest.raises(ValueError):
+                cluster_curve(six_bank_matrix, grid)
+        with pytest.raises(ValueError):
+            cluster_curve(six_bank_matrix, [0.1, 0.5], mode="partial")
+        with pytest.raises(ValueError):
+            threshold_network(six_bank_matrix, 0.5, mode="partial")
