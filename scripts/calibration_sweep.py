@@ -3,12 +3,16 @@
 For each candidate configuration and seed this reports
   - mean leverage averaged over the last 1,000 periods, and its LS slope,
   - assets growth factor (mean assets, final over initial),
-  - cluster-curve shape in |r| mode: the largest rho with fraction >= 0.8,
+  - cluster-curve shape, in signed mode as the acceptance criteria score it
+    (``--mode absolute`` for |r|): the largest rho with fraction >= 0.8,
     the smallest rho with fraction <= 0.5, and where the biggest jump sits,
   - topology at rho = 0.8: largest-cluster fraction and isolated share,
   - whether the most-correlated pair beats the population medians.
 
-Usage: python scripts/calibration_sweep.py [--seeds 4] [--full]
+``--full`` also sweeps a grid centred on the frozen defaults
+(configs/default.cfg, mirrored by ``SimConfig()``).
+
+Usage: python scripts/calibration_sweep.py [--seeds 4] [--full] [--mode signed|absolute]
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ def curve_stats(curve):
     return rho_hi, rho_lo, (a, b), size
 
 
-def evaluate(config: SimConfig, seeds: range, mode: str = "absolute"):
+def evaluate(config: SimConfig, seeds: range, mode: str = "signed"):
     rows = []
     for seed in seeds:
         out = run(replace(config, seed=seed))
@@ -84,8 +88,8 @@ def summarize(tag: str, rows) -> None:
 def main() -> None:
     ap = argparse.ArgumentParser()
     ap.add_argument("--seeds", type=int, default=4)
-    ap.add_argument("--full", action="store_true", help="sweep the wider grid")
-    ap.add_argument("--mode", default="absolute", choices=("signed", "absolute"))
+    ap.add_argument("--full", action="store_true", help="also sweep a grid around the defaults")
+    ap.add_argument("--mode", default="signed", choices=("signed", "absolute"))
     args = ap.parse_args()
     seeds = range(args.seeds)
 
@@ -94,12 +98,15 @@ def main() -> None:
     if not args.full:
         return
 
+    # each swept parameter at its frozen default and on either side of it
     for lam, loan, r_c, p_shock, k_dep in itertools.product(
-            (0.2, 0.25, 0.4), (4_000.0, 5_000.0, 6_500.0),
-            (0.13, 0.15, 0.17), (0.05, 0.1, 0.2), (3, 5)):
+            *((0.75 * v, v, 1.25 * v) for v in (base.arrival_rate, base.loan_size,
+                                                base.r_corporate)),
+            (0.75 * base.shock_probability, base.shock_probability),
+            (base.deposit_bank_count, base.deposit_bank_count + 1)):
         cfg = replace(base, arrival_rate=lam, loan_size=loan, r_corporate=r_c,
                       shock_probability=p_shock, deposit_bank_count=k_dep)
-        tag = f"lam={lam} l={loan:.0f} rc={r_c} p={p_shock} k={k_dep}"
+        tag = f"lam={lam:.4g} l={loan:.0f} rc={r_c:.4g} p={p_shock:.4g} k={k_dep}"
         summarize(tag, evaluate(cfg, seeds, args.mode))
 
 

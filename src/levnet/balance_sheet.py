@@ -3,15 +3,19 @@
 A bank's record is its total assets and total liabilities sampled on an
 integer time grid. Leverage is liabilities over equity (assets minus
 liabilities, at book value), so it is unit-free and comparable across
-countries and currencies. A panel collects many banks on a common grid;
-banks appear and disappear, so only *complete* members (an observation at
-every grid point) enter correlation analysis.
+countries and currencies. A panel collects many banks on a common grid as
+two dense (dates x banks) matrices, assets and liabilities, with one column
+per bank in bank-id order and NaN where a bank is not observed. Banks
+appear and disappear, so only *complete* members (an observation at every
+grid point) enter correlation analysis; filtering, the census and the
+cross-sectional statistics are reductions over those columns.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from itertools import compress
 from typing import Iterable, Literal
 
 import numpy as np
@@ -80,17 +84,8 @@ class BankSeries:
             raise DomainError(f"{self.bank_id}: empty series")
         if np.any(np.diff(times) <= 0):
             raise DomainError(f"{self.bank_id}: time indices must be strictly increasing")
-        if not np.all(np.isfinite(assets)) or not np.all(np.isfinite(liab)):
-            raise DomainError(f"{self.bank_id}: non-finite balance sheet values")
-        if np.any(assets <= 0) or np.any(liab < 0):
-            t = int(times[np.flatnonzero((assets <= 0) | (liab < 0))[0]])
-            raise DomainError(f"{self.bank_id}: invalid assets/liabilities at t={t}")
-        bad = np.flatnonzero(liab >= assets)
-        if bad.size:
-            t = int(times[bad[0]])
-            raise DegenerateEquityError(
-                f"{self.bank_id}: liabilities >= assets at t={t} (non-positive equity)",
-                bank_id=self.bank_id, time_index=t)
+        for error in _faults((self.bank_id,), times, assets[:, None], liab[:, None]).values():
+            raise error
         object.__setattr__(self, "times", _readonly(times))
         object.__setattr__(self, "assets", _readonly(assets))
         object.__setattr__(self, "liabilities", _readonly(liab))
@@ -127,21 +122,36 @@ class LeverageSeries:
 
 @dataclass(frozen=True, eq=False)
 class Panel:
-    """A labelled collection of bank series over a common time grid.
+    """A labelled (dates x banks) balance-sheet table over a common time grid.
 
-    ``grid`` is the sorted union of member observation times. ``grid_labels``
-    optionally keeps the original date strings, one per grid point, so that a
-    panel read from a file can be written back verbatim.
+    ``assets`` and ``liabilities`` have shape (len(grid), len(bank_ids)):
+    column k is bank ``bank_ids[k]``, columns are in bank-id order, and NaN
+    marks a date on which a bank is not observed. ``grid_labels``
+    optionally keeps the original date strings, one per grid point, so that
+    a panel read from a file can be written back verbatim.
     """
 
     label: str
-    members: tuple[BankSeries, ...]
+    bank_ids: tuple[str, ...]
     grid: np.ndarray
+    assets: np.ndarray
+    liabilities: np.ndarray
     grid_labels: tuple[str, ...] | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "members", tuple(self.members))
+        object.__setattr__(self, "bank_ids", tuple(self.bank_ids))
         object.__setattr__(self, "grid", _readonly(np.asarray(self.grid, dtype=np.int64)))
+        assets = _readonly(np.asarray(self.assets, dtype=np.float64))
+        liab = _readonly(np.asarray(self.liabilities, dtype=np.float64))
+        if not assets.shape == liab.shape == (len(self.grid), len(self.bank_ids)):
+            raise ValueError(f"balance sheets must be {len(self.grid)} dates x "
+                             f"{len(self.bank_ids)} banks, got {assets.shape} and {liab.shape}")
+        errors = _faults(self.bank_ids, self.grid, assets, liab,
+                         ~(np.isnan(assets) & np.isnan(liab)))
+        if errors:
+            raise errors[min(errors)]
+        object.__setattr__(self, "assets", assets)
+        object.__setattr__(self, "liabilities", liab)
         if self.grid_labels is not None:
             labels = tuple(self.grid_labels)
             if len(labels) != len(self.grid):
@@ -158,26 +168,56 @@ class Panel:
         if not members:
             raise ValueError(f"panel {label!r} has no members")
         grid = np.unique(np.concatenate([m.times for m in members]))
+        assets = np.full((len(grid), len(members)), np.nan)
+        liab = np.full_like(assets, np.nan)
+        for k, m in enumerate(members):
+            rows = np.searchsorted(grid, m.times)
+            assets[rows, k], liab[rows, k] = m.assets, m.liabilities
         labels = tuple(grid_labels) if grid_labels is not None else None
-        return cls(label, tuple(members), grid, labels)
+        return cls(label, tuple(ids), grid, assets, liab, labels)
 
     @property
-    def period_start(self) -> int:
-        return int(self.grid[0])
-
-    @property
-    def period_end(self) -> int:
-        return int(self.grid[-1])
-
-    @property
-    def bank_ids(self) -> tuple[str, ...]:
-        return tuple(m.bank_id for m in self.members)
-
-    def is_complete(self, member: BankSeries) -> bool:
-        return len(member.times) == len(self.grid)
+    def members(self) -> tuple[BankSeries, ...]:
+        """One bank series per column, built on demand from the observed cells."""
+        seen = ~np.isnan(self.assets)
+        return tuple(BankSeries(bank, self.grid[rows], self.assets[rows, k],
+                                self.liabilities[rows, k])
+                     for k, (bank, rows) in enumerate(zip(self.bank_ids, seen.T)))
 
     def __len__(self) -> int:
-        return len(self.members)
+        return len(self.bank_ids)
+
+
+def _faults(bank_ids: tuple[str, ...], times: np.ndarray, assets: np.ndarray,
+            liabilities: np.ndarray, seen: np.ndarray | bool = True) -> dict[int, DomainError]:
+    """The balance-sheet rules, applied to the ``seen`` cells of (dates x banks) matrices.
+
+    Returns the error of each column that breaks a rule, keyed by column. A
+    column is checked for non-finite values, then for assets <= 0 or
+    liabilities < 0, then for liabilities >= assets (non-positive equity);
+    the first rule it breaks is reported, at the time of its first breach.
+    """
+    invalid = seen & ((assets <= 0) | (liabilities < 0))
+    degenerate = seen & (liabilities >= assets)
+    errors: dict[int, DomainError] = {}
+    # later rules first, so that an earlier rule overwrites them
+    for k in np.flatnonzero(degenerate.any(axis=0)).tolist():
+        t = int(times[degenerate[:, k].argmax()])
+        errors[k] = DegenerateEquityError(
+            f"{bank_ids[k]}: liabilities >= assets at t={t} (non-positive equity)",
+            bank_id=bank_ids[k], time_index=t)
+    for k in np.flatnonzero(invalid.any(axis=0)).tolist():
+        t = int(times[invalid[:, k].argmax()])
+        errors[k] = DomainError(f"{bank_ids[k]}: invalid assets/liabilities at t={t}")
+    non_finite = seen & ~(np.isfinite(assets) & np.isfinite(liabilities))
+    for k in np.flatnonzero(non_finite.any(axis=0)).tolist():
+        errors[k] = DomainError(f"{bank_ids[k]}: non-finite balance sheet values")
+    return errors
+
+
+def _leverage_matrix(panel: Panel) -> np.ndarray:
+    """(banks x dates) leverage rows, C-contiguous, as stacking each bank's series gives."""
+    return np.ascontiguousarray((panel.liabilities / (panel.assets - panel.liabilities)).T)
 
 
 @dataclass(frozen=True)
@@ -199,11 +239,13 @@ class CensusReport:
 
 def leverage_of(assets: float, liabilities: float) -> float:
     """Leverage ratio: liabilities / (assets - liabilities)."""
-    if not assets > 0 or liabilities < 0 or not np.isfinite(assets) or not np.isfinite(liabilities):
-        raise DomainError(f"invalid balance sheet: assets={assets}, liabilities={liabilities}")
-    if liabilities >= assets:
+    error = _faults(("",), np.zeros(1), np.array([[assets]], dtype=np.float64),
+                    np.array([[liabilities]], dtype=np.float64)).get(0)
+    if isinstance(error, DegenerateEquityError):
         raise DegenerateEquityError(
             f"liabilities ({liabilities}) >= assets ({assets}): equity is not positive")
+    if error is not None:
+        raise DomainError(f"invalid balance sheet: assets={assets}, liabilities={liabilities}")
     return liabilities / (assets - liabilities)
 
 
@@ -219,27 +261,23 @@ def filter_complete(panel: Panel) -> Panel:
     The grid itself is unchanged. Warns (EmptyPanelWarning) when nothing
     survives. Idempotent.
     """
-    kept = tuple(m for m in panel.members if panel.is_complete(m))
-    if panel.members and not kept:
+    keep = ~np.isnan(panel.assets).any(axis=0)
+    if len(panel) and not keep.any():
         warnings.warn(f"panel {panel.label!r}: no complete members", EmptyPanelWarning)
-    return Panel(panel.label, kept, panel.grid, panel.grid_labels)
+    return Panel(panel.label, tuple(compress(panel.bank_ids, keep)), panel.grid,
+                 panel.assets[:, keep], panel.liabilities[:, keep], panel.grid_labels)
 
 
 def census(panel: Panel) -> CensusReport:
     """Count start/end populations, births, deaths, and complete members."""
-    if not panel.members:
+    if not len(panel):
         raise ValueError("cannot take a census of an empty panel")
-    start, end = panel.period_start, panel.period_end
-    n_grid = len(panel.grid)
-    n_start = n_end = n_birth = n_death = n_complete = 0
-    for m in panel.members:
-        first, last = int(m.times[0]), int(m.times[-1])
-        n_start += first == start
-        n_end += last == end
-        n_birth += first > start
-        n_death += last < end
-        n_complete += len(m.times) == n_grid
-    return CensusReport(n_start, n_end, n_birth, n_death, n_complete)
+    seen = ~np.isnan(panel.assets)
+    end = len(panel.grid) - 1
+    first, last = seen.argmax(axis=0), end - seen[::-1].argmax(axis=0)
+    return CensusReport(int(np.count_nonzero(first == 0)), int(np.count_nonzero(last == end)),
+                        int(np.count_nonzero(first > 0)), int(np.count_nonzero(last < end)),
+                        int(np.count_nonzero(seen.all(axis=0))))
 
 
 def central_leverage(panel: Panel, statistic: Literal["median", "mean"] = "median",
@@ -247,11 +285,13 @@ def central_leverage(panel: Panel, statistic: Literal["median", "mean"] = "media
     """Per-grid-point median (or mean) leverage across complete members."""
     if statistic not in ("median", "mean"):
         raise ValueError(f"unknown statistic {statistic!r}")
-    if not panel.members:
+    if not len(panel):
         raise ValueError("cannot summarize an empty panel")
-    incomplete = [m.bank_id for m in panel.members if not panel.is_complete(m)]
-    if incomplete:
+    complete = ~np.isnan(panel.assets).any(axis=0)
+    if not complete.all():
+        incomplete = list(compress(panel.bank_ids, ~complete))
         raise ValueError(f"panel has incomplete members (filter first): {incomplete[:5]}")
-    stack = np.vstack([leverage_series(m).values for m in panel.members])
+    # banks x dates, so that the mean sums bank by bank as stacking series does
+    stack = _leverage_matrix(panel)
     agg = np.median(stack, axis=0) if statistic == "median" else np.mean(stack, axis=0)
     return list(zip(panel.grid.tolist(), agg.tolist()))

@@ -18,8 +18,12 @@ import io
 import json
 import math
 import sys
+from array import array
 from dataclasses import dataclass, fields, replace
+from itertools import compress
 from pathlib import Path
+
+import numpy as np
 
 from . import balance_sheet as bs
 from . import network as net
@@ -88,83 +92,116 @@ def _csv_field(text: str) -> str:
     return buf.getvalue()[:-2]
 
 
-def ingest_panel(spec: IngestSpec) -> IngestResult:
-    """Parse and validate a ``bank_id,date,assets,liabilities`` CSV."""
-    path = Path(spec.path)
-    rows: list[tuple[str, datetime.date, float, float]] = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise IngestError(f"{path}: empty file")
-        try:
-            cols = [header.index(c) for c in
-                    (spec.bank_col, spec.date_col, spec.assets_col, spec.liabilities_col)]
-        except ValueError as exc:
-            raise IngestError(f"{path}: missing column in header {header}: {exc}") from exc
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
+def _read_columns(spec: IngestSpec, path: Path):
+    """Stream rows into bank and date codes and float values, parsing each
+    distinct date once, then scatter them into (dates x banks) matrices.
+    Returns the sorted bank ids and dates, the row count of every cell, and
+    the assets and liabilities (NaN in cells no row fills)."""
+    bank_code: dict[str, int] = {}
+    date_code: dict[str, int] = {}
+    days: list[datetime.date] = []
+    banks, dates, assets, liabilities = array("q"), array("q"), array("d"), array("d")
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None:
+                raise IngestError(f"{path}: empty file")
             try:
-                bank = row[cols[0]].strip()
-                date = datetime.date.fromisoformat(row[cols[1]].strip())
-                assets = float(row[cols[2]])
-                liabilities = float(row[cols[3]])
-            except (IndexError, ValueError) as exc:
-                raise IngestError(f"{path}:{lineno}: malformed row: {exc}") from exc
-            if not bank:
-                raise IngestError(f"{path}:{lineno}: empty bank id")
-            rows.append((bank, date, assets, liabilities))
-    if not rows:
+                b_col, d_col, a_col, l_col = [header.index(c) for c in (
+                    spec.bank_col, spec.date_col, spec.assets_col, spec.liabilities_col)]
+            except ValueError as exc:
+                raise IngestError(f"{path}: missing column in header {header}: {exc}") from exc
+            for lineno, row in enumerate(reader, start=2):
+                if not row:
+                    continue
+                try:
+                    bank = row[b_col].strip()
+                    day = row[d_col].strip()
+                    if day not in date_code:
+                        date_code[day] = len(days)
+                        days.append(datetime.date.fromisoformat(day))
+                    a_val, l_val = float(row[a_col]), float(row[l_col])
+                except (IndexError, ValueError) as exc:
+                    raise IngestError(f"{path}:{lineno}: malformed row: {exc}") from exc
+                if not bank:
+                    raise IngestError(f"{path}:{lineno}: empty bank id")
+                banks.append(bank_code.setdefault(bank, len(bank_code)))
+                dates.append(date_code[day])
+                assets.append(a_val)
+                liabilities.append(l_val)
+    except csv.Error as exc:
+        raise IngestError(f"{path}:{reader.line_num}: malformed csv: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise IngestError(f"{path}: not UTF-8 text: {exc}") from exc
+    if not banks:
         raise IngestError(f"{path}: no data rows")
 
-    dates = sorted({r[1] for r in rows})
-    date_rank = {d: k for k, d in enumerate(dates)}
-    by_bank: dict[str, list[tuple[int, float, float]]] = {}
-    for bank, date, assets, liabilities in rows:
-        by_bank.setdefault(bank, []).append((date_rank[date], assets, liabilities))
+    # dates rank as parsed dates, so two spellings of one day are one grid point
+    grid_dates = sorted(set(days))
+    rank = {day: k for k, day in enumerate(grid_dates)}
+    ids = sorted(bank_code)
+    column = {bank: k for k, bank in enumerate(ids)}
+    shape = (len(grid_dates), len(ids))
+    cell = np.ravel_multi_index(
+        (np.array([rank[day] for day in days])[np.frombuffer(dates, np.int64)],
+         np.array([column[bank] for bank in bank_code])[np.frombuffer(banks, np.int64)]), shape)
+    count = np.bincount(cell, minlength=shape[0] * shape[1]).reshape(shape)
+    a_mat, l_mat = np.full(shape, np.nan), np.full(shape, np.nan)
+    a_mat.reshape(-1)[cell] = np.frombuffer(assets)
+    l_mat.reshape(-1)[cell] = np.frombuffer(liabilities)
+    return ids, grid_dates, count, a_mat, l_mat
 
-    members, dropped, gapped = [], [], []
-    for bank in sorted(by_bank):
-        obs = sorted(by_bank[bank])
-        times = [o[0] for o in obs]
-        reason = None
-        if len(set(times)) != len(times):
-            reason = "duplicate dates"
-        else:
-            try:
-                series = bs.BankSeries.from_observations(bank, obs)
-            except bs.DegenerateEquityError as exc:
-                reason = f"liabilities >= assets at t={exc.time_index}"
-            except bs.DomainError as exc:
-                reason = str(exc)
-        if reason is not None:
-            if spec.mode == "strict":
-                raise IngestError(f"{path}: bank {bank!r}: {reason}")
-            dropped.append({"bank_id": bank, "reason": reason})
-            continue
-        if times[-1] - times[0] + 1 != len(times):
+
+def ingest_panel(spec: IngestSpec) -> IngestResult:
+    """Parse and validate a ``bank_id,date,assets,liabilities`` CSV.
+
+    One pass of the balance-sheet rules over the (dates x banks) matrices
+    decides which banks are dropped."""
+    path = Path(spec.path)
+    ids, grid_dates, count, a_mat, l_mat = _read_columns(spec, path)
+    grid = np.arange(len(grid_dates))
+    seen = count > 0
+    duplicate = (count > 1).any(axis=0)
+    errors = bs._faults(ids, grid, a_mat, l_mat, seen)
+    first, last = seen.argmax(axis=0), grid[-1] - seen[::-1].argmax(axis=0)
+    gap = last - first + 1 != seen.sum(axis=0)
+    valid = ~duplicate
+    valid[list(errors)] = False
+    dropped, gapped = [], []
+    for k in np.flatnonzero(~valid | gap).tolist():
+        bank = ids[k]
+        if valid[k]:
             # observations skip interior grid points: a sparser reporter
             if spec.mode == "strict":
                 raise IngestError(
                     f"{path}: bank {bank!r} has interior gaps (mixed sampling frequency)")
             gapped.append(bank)
-        members.append(series)
+            continue
+        reason = "duplicate dates"
+        if not duplicate[k]:
+            error = errors[k]
+            degenerate = isinstance(error, bs.DegenerateEquityError)
+            reason = f"liabilities >= assets at t={error.time_index}" if degenerate else str(error)
+        if spec.mode == "strict":
+            raise IngestError(f"{path}: bank {bank!r}: {reason}")
+        dropped.append({"bank_id": bank, "reason": reason})
 
-    if not members:
+    if not valid.any():
         raise IngestError(f"{path}: no valid banks remain")
-    labels = tuple(d.isoformat() for d in dates)
-    panel = bs.Panel.from_members(path.stem, members, labels)
+    labels = tuple(day.isoformat() for day in grid_dates)
+    panel = bs.Panel(path.stem, tuple(compress(ids, valid)), grid,
+                     a_mat[:, valid], l_mat[:, valid], labels)
     complete = bs.filter_complete(panel)
     report = {
         "input": str(path),
         "mode": spec.mode,
-        "n_rows": len(rows),
-        "n_banks_read": len(by_bank),
-        "n_banks_valid": len(members),
-        "n_banks_complete": len(complete.members),
+        "n_rows": int(count.sum()),
+        "n_banks_read": len(ids),
+        "n_banks_valid": len(panel),
+        "n_banks_complete": len(complete),
         "dropped": dropped,
-        "gapped_banks": sorted(gapped),
+        "gapped_banks": gapped,
         "mixed_sampling": bool(gapped),
     }
     return IngestResult(panel, complete, bs.census(panel), report)
@@ -173,13 +210,13 @@ def ingest_panel(spec: IngestSpec) -> IngestResult:
 def write_panel_csv(panel: bs.Panel, path: Path) -> None:
     """Rows sorted by (bank_id, time); dates from the panel's grid labels."""
     labels = panel.grid_labels or tuple(period_date(int(t)) for t in panel.grid)
-    pos = {int(t): k for k, t in enumerate(panel.grid)}
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write("bank_id,date,assets,liabilities\n")
-        for m in panel.members:
-            bank = _csv_field(m.bank_id)
-            for t, a, l in zip(m.times, m.assets, m.liabilities):
-                fh.write(f"{bank},{labels[pos[int(t)]]},{_fmt(a)},{_fmt(l)}\n")
+        for bank, assets, liabilities in zip(panel.bank_ids, panel.assets.T, panel.liabilities.T):
+            bank = _csv_field(bank)
+            rows = np.flatnonzero(~np.isnan(assets))
+            for t, a, l in zip(rows.tolist(), assets[rows].tolist(), liabilities[rows].tolist()):
+                fh.write(f"{bank},{labels[t]},{a!r},{l!r}\n")
 
 
 def write_curve_csv(curve: net.ClusterCurve, path: Path) -> None:
@@ -306,7 +343,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 
 def _load_matrix(path: str) -> net.CorrelationMatrix:
     result = ingest_panel(IngestSpec(path))
-    if len(result.complete.members) < 2:
+    if len(result.complete) < 2:
         raise IngestError(f"{path}: need at least 2 complete banks")
     return net.leverage_correlation(result.complete)
 

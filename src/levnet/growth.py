@@ -80,14 +80,16 @@ def most_correlated_pair(matrix: CorrelationMatrix) -> tuple[str, str, float]:
 
 def growth_record(series: BankSeries) -> GrowthRecord:
     """Assets and leverage growth between the first and last observation."""
-    lev0 = leverage_of(float(series.assets[0]), float(series.liabilities[0]))
-    lev1 = leverage_of(float(series.assets[-1]), float(series.liabilities[-1]))
+    return _growth(series.bank_id, series.assets, series.liabilities)
+
+
+def _growth(bank_id: str, assets: np.ndarray, liabilities: np.ndarray) -> GrowthRecord:
+    lev0 = leverage_of(float(assets[0]), float(liabilities[0]))
+    lev1 = leverage_of(float(assets[-1]), float(liabilities[-1]))
     if lev0 == 0.0:
         raise ZeroInitialLeverageError(
-            f"{series.bank_id}: initial leverage is zero, growth undefined")
-    return GrowthRecord(series.bank_id,
-                        lev1 / lev0,
-                        float(series.assets[-1]) / float(series.assets[0]))
+            f"{bank_id}: initial leverage is zero, growth undefined")
+    return GrowthRecord(bank_id, lev1 / lev0, float(assets[-1]) / float(assets[0]))
 
 
 def _study_run(config: SimConfig, run_index: int) -> RunRecord:
@@ -95,7 +97,8 @@ def _study_run(config: SimConfig, run_index: int) -> RunRecord:
     out: SimOutput = run(config, rng=rng)
     matrix = correlation_matrix(out.leverage_series_set())
     a, b, r = most_correlated_pair(matrix)
-    records = tuple(growth_record(m) for m in out.panel.members)
+    records = tuple(_growth(bank, out.assets[:, k], out.liabilities[:, k])
+                    for k, bank in enumerate(out.bank_ids))
     med_lev = float(np.median([g.leverage_growth for g in records]))
     med_ast = float(np.median([g.assets_growth for g in records]))
     return RunRecord(run_index, a, b, r, records, med_lev, med_ast)

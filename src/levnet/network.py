@@ -16,11 +16,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from itertools import compress
 from typing import Iterable, Iterator, Literal, Sequence
 
 import numpy as np
 
-from .balance_sheet import LeverageSeries, Panel, filter_complete, leverage_series
+from .balance_sheet import LeverageSeries, Panel, _leverage_matrix, filter_complete
 
 __all__ = [
     "ClusterCurve",
@@ -125,15 +126,22 @@ def correlation_matrix(series_set: Sequence[LeverageSeries]) -> CorrelationMatri
     for s in series_set[1:]:
         if not np.array_equal(s.times, grid):
             raise GridMismatchError(f"series {s.bank_id!r} is not on the common grid")
-    if len(grid) < 2:
+    return _correlation(tuple(s.bank_id for s in series_set),
+                        np.vstack([s.values for s in series_set]))
+
+
+def _correlation(bank_ids: tuple[str, ...], X: np.ndarray) -> CorrelationMatrix:
+    """Pearson matrix of the rows of the C-contiguous (banks x dates) array X."""
+    if len(bank_ids) < 2:
+        raise ValueError(f"need at least 2 series, got {len(bank_ids)}")
+    if X.shape[1] < 2:
         raise ValueError("grid too short for correlation (need >= 2 points)")
 
-    X = np.vstack([s.values for s in series_set])
     Xc = X - X.mean(axis=1, keepdims=True)
     sq = np.einsum("ij,ij->i", Xc, Xc)
     cross = Xc @ Xc.T
     # mirror the upper triangle so symmetry is exact, not up to BLAS rounding
-    iu = np.triu_indices(len(series_set), k=1)
+    iu = np.triu_indices(len(bank_ids), k=1)
     cross[(iu[1], iu[0])] = cross[iu]
     denom = np.sqrt(np.outer(sq, sq))
     with np.errstate(invalid="ignore", divide="ignore"):
@@ -142,14 +150,14 @@ def correlation_matrix(series_set: Sequence[LeverageSeries]) -> CorrelationMatri
     vals[sq == 0.0, :] = math.nan
     vals[:, sq == 0.0] = math.nan
     np.fill_diagonal(vals, 1.0)
-    flagged = tuple(s.bank_id for s, z in zip(series_set, sq == 0.0) if z)
-    return CorrelationMatrix(tuple(s.bank_id for s in series_set), vals, flagged)
+    flagged = tuple(compress(bank_ids, sq == 0.0))
+    return CorrelationMatrix(bank_ids, vals, flagged)
 
 
 def leverage_correlation(panel: Panel) -> CorrelationMatrix:
     """Correlation matrix of the leverage series of a complete-filtered panel."""
     complete = filter_complete(panel)
-    return correlation_matrix([leverage_series(m) for m in complete.members])
+    return _correlation(complete.bank_ids, _leverage_matrix(complete))
 
 
 @dataclass(frozen=True, eq=False)

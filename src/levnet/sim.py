@@ -35,7 +35,7 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .balance_sheet import BankSeries, LeverageSeries, Panel
+from .balance_sheet import LeverageSeries, Panel
 
 __all__ = [
     "AdjacencyHistory",
@@ -366,7 +366,8 @@ class SimOutput:
 
     ``assets``, ``liabilities`` and ``leverage`` have shape
     (n_periods + 1, n_banks): row t is the state after period t, row 0 the
-    initial system. The panel wraps the same numbers as bank series.
+    initial system. The panel wraps the same ``assets`` and ``liabilities``
+    arrays, which are therefore read-only.
     """
 
     config: SimConfig
@@ -423,11 +424,8 @@ def run(config: SimConfig, rng: np.random.Generator | None = None) -> SimOutput:
     leverage = liab / equity
 
     ids = tuple(bank_label(i, n) for i in range(n))
-    times = np.arange(t_max + 1, dtype=np.int64)
-    members = [BankSeries(bid, times, assets[:, k].copy(), liab[:, k].copy())
-               for k, bid in enumerate(ids)]
     labels = tuple(period_date(t) for t in range(t_max + 1))
-    panel = Panel.from_members(f"sim-seed{config.seed}", members, labels)
+    panel = Panel(f"sim-seed{config.seed}", ids, np.arange(t_max + 1), assets, liab, labels)
     adjacency = AdjacencyHistory(tuple(tuple(p) for p in state.adjacency))
     return SimOutput(config, ids, assets, liab, leverage, panel,
                      adjacency, tuple(state.events))

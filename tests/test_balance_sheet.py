@@ -223,3 +223,15 @@ class TestCentralLeverage:
             central_leverage(panel)
         with pytest.raises(ValueError):
             central_leverage(filter_complete(panel), "mode")
+
+
+def test_central_mean_sums_bank_by_bank():
+    # the mean over banks must round as a row-by-row sum of stacked series does
+    rng = np.random.default_rng(5)
+    levs = rng.uniform(0.5, 20.0, size=(40, 6))
+    panel = Panel.from_members(
+        "p", [series_from_leverage(f"b{i:02d}", range(6), levs[i]) for i in range(40)])
+    stack = np.vstack([leverage_series(m).values for m in panel.members])
+    got = [v for _, v in central_leverage(panel, "mean")]
+    assert got == np.mean(stack, axis=0).tolist()
+    assert got == [v for _, v in central_leverage(Panel.from_members("q", panel.members), "mean")]

@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -396,6 +397,163 @@ def sha256(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+# A hostile lenient input: remapped and reordered columns plus a junk one,
+# shuffled rows, blank lines, padded fields, births, deaths, an interior gap,
+# an insolvent bank, nan and inf spellings, non-positive assets, negative
+# liabilities, a duplicate date, a quoted id, and banks breaking several rules.
+HOSTILE_COLUMNS = ["--bank-col", "bk", "--date-col", "when",
+                   "--assets-col", "tot_a", "--liabilities-col", "tot_l"]
+HOSTILE = """when,tot_l,bk,junk,tot_a
+2005-06-30,100.0,A01,x,125.0
+2005-03-31,100.0,A01,,120.0
+ 2005-09-30 ,100.0,A01,y, 150.5 
+2005-12-31,1.0e2,A01,,1.3e2
+2006-03-31,101.25,A01,,140
+2006-06-30,99.5,A01,,139.75
+
+2005-03-31,30,A02,,90
+2005-06-30,31,A02,,95
+2005-09-30,32,A02,,99
+2005-12-31,33,A02,,98
+2006-03-31,34,A02,,97.5
+2006-06-30,35,A02,,101
+2005-03-31,0.0,"Banco, SA",,10
+2005-06-30,1.0,"Banco, SA",,11
+2005-09-30,2.0,"Banco, SA",,12
+2005-12-31,3.0,"Banco, SA",,13
+2006-03-31,4.0,"Banco, SA",,14
+2006-06-30,5.0,"Banco, SA",,15
+2005-03-31,5,  spaced  ,,50
+2005-06-30,5,spaced,,50
+2005-09-30,5,spaced,,50
+2005-12-31,5,spaced,,50
+2006-03-31,5,spaced,,50
+2006-06-30,5,spaced,,50
+2005-12-31,10,BORN,,20
+2006-03-31,11,BORN,,21
+2006-06-30,12,BORN,,22
+2005-03-31,10,DEAD,,20
+2005-06-30,11,DEAD,,21
+2005-09-30,12,DEAD,,22
+2005-03-31,10,GAP,,20
+2005-06-30,11,GAP,,21
+2005-12-31,12,GAP,,22
+2006-03-31,13,GAP,,23
+2005-03-31,10,INSOLV,,20
+2005-06-30,21,INSOLV,,21
+2005-09-30,23,INSOLV,,22
+2005-03-31,10,NANB,,20
+2005-06-30,nan,NANB,,21
+2005-03-31,10,INFB,,20
+2005-06-30,inf,INFB,,21
+2005-03-31,10,NINF,,-Infinity
+2005-06-30,10,NINF,,21
+2005-03-31,10,ZERO,,20
+2005-06-30,0,ZERO,,0.0
+2005-03-31,-5,NEGL,,20
+2005-06-30,10,NEGL,,20
+2005-03-31,10,DUP,,20
+2005-06-30,10,DUP,,20
+2005-06-30,11,DUP,,21
+2005-03-31,10,MULTI,,-1
+2005-06-30,10,MULTI,,NaN
+2005-03-31,30,DEGINV,,20
+2005-06-30,10,DEGINV,,0
+2005-03-31,10,DUPNAN,,nan
+2005-03-31,10,DUPNAN,,20
+2006-06-30,13,GAP,,24
+
+2005-06-30,100.0,A03,,125.0
+2005-03-31,100.0,A03,,120.0
+2005-09-30,100.0,A03,,150.0
+2005-12-31,100.0,A03,,130.0
+2006-03-31,100.0,A03,,140.0
+2006-06-30,100.0,A03,,135.0
+"""
+HOSTILE_CENSUS = {"n_start": 7, "n_end": 7, "n_birth": 1, "n_death": 1, "n_complete": 5}
+HOSTILE_DROPPED = [
+    {"bank_id": "DEGINV", "reason": "DEGINV: invalid assets/liabilities at t=1"},
+    {"bank_id": "DUP", "reason": "duplicate dates"},
+    {"bank_id": "DUPNAN", "reason": "duplicate dates"},
+    {"bank_id": "INFB", "reason": "INFB: non-finite balance sheet values"},
+    {"bank_id": "INSOLV", "reason": "liabilities >= assets at t=1"},
+    {"bank_id": "MULTI", "reason": "MULTI: non-finite balance sheet values"},
+    {"bank_id": "NANB", "reason": "NANB: non-finite balance sheet values"},
+    {"bank_id": "NEGL", "reason": "NEGL: invalid assets/liabilities at t=0"},
+    {"bank_id": "NINF", "reason": "NINF: non-finite balance sheet values"},
+    {"bank_id": "ZERO", "reason": "ZERO: invalid assets/liabilities at t=1"},
+]
+GOLDEN_HOSTILE = {
+    "panel.csv": "a6c82fe536b53f1c181f7163399cd9b5010cdd6eb9835ee1abfbf83a1eb7db61",
+    "census.json": "dd91f1efe01e3593bff678fc5834372ce39b72a7d4d044cd5272cea865fe868e",
+}
+
+STRICT_HEADER = "bank_id,date,assets,liabilities\n"
+STRICT_OK = "ok,2005-03-31,120.0,100.0\nok,2005-06-30,125.0,100.0\nok,2005-09-30,130.0,100.0\n"
+STRICT_DEFECTS = {
+    name: (STRICT_HEADER + body, message) for name, (body, message) in {
+        "duplicate": (STRICT_OK + "x,2005-03-31,2,1\nx,2005-03-31,3,1\n",
+                      "p.csv: bank 'x': duplicate dates"),
+        "nan": (STRICT_OK + "x,2005-03-31,nan,1\n",
+                "p.csv: bank 'x': x: non-finite balance sheet values"),
+        "inf": (STRICT_OK + "x,2005-03-31,2,inf\n",
+                "p.csv: bank 'x': x: non-finite balance sheet values"),
+        "zero assets": (STRICT_OK + "x,2005-03-31,2,1\nx,2005-06-30,0,0\n",
+                        "p.csv: bank 'x': x: invalid assets/liabilities at t=1"),
+        "negative liabilities": (STRICT_OK + "x,2005-09-30,2,-1\n",
+                                 "p.csv: bank 'x': x: invalid assets/liabilities at t=2"),
+        "insolvent": (STRICT_OK + "x,2005-03-31,2,1\nx,2005-09-30,2,2\n",
+                      "p.csv: bank 'x': liabilities >= assets at t=2"),
+        "interior gap": (STRICT_OK + "x,2005-03-31,2,1\nx,2005-09-30,3,1\n",
+                         "p.csv: bank 'x' has interior gaps (mixed sampling frequency)"),
+        "first bad bank in id order": (
+            STRICT_OK + "z,2005-03-31,nan,1\nb,2005-03-31,2,1\nb,2005-09-30,3,1\n"
+            "c,2005-03-31,2,3\n",
+            "p.csv: bank 'b' has interior gaps (mixed sampling frequency)"),
+        "rule order within a bank": (STRICT_OK + "x,2005-03-31,2,3\nx,2005-06-30,-2,1\n",
+                                     "p.csv: bank 'x': x: invalid assets/liabilities at t=1"),
+        "malformed date": (STRICT_OK + "x,2005-13-01,2,1\n",
+                           "p.csv:5: malformed row: month must be in 1..12"),
+        "malformed number": (STRICT_OK + "\nx,2005-03-31,2,one\n",
+                             "p.csv:6: malformed row: could not convert string to float: 'one'"),
+        "short row": (STRICT_OK + "x,2005-03-31,2\n",
+                      "p.csv:5: malformed row: list index out of range"),
+        "empty bank id": (STRICT_OK + " ,2005-03-31,2,1\n", "p.csv:5: empty bank id"),
+        "no data rows": ("\n", "p.csv: no data rows"),
+        "no valid banks": ("x,2005-03-31,2,3\n", "p.csv: bank 'x': liabilities >= assets at t=0"),
+    }.items()}
+STRICT_DEFECTS["missing column"] = (
+    "bank,date,assets,liabilities\n" + STRICT_OK,
+    "p.csv: missing column in header ['bank', 'date', 'assets', 'liabilities']: "
+    "'bank_id' is not in list")
+STRICT_DEFECTS["empty file"] = ("", "p.csv: empty file")
+
+TWO_SPELLINGS = """bank_id,date,assets,liabilities
+a,2005-03-31,120.0,100.0
+b,2005-03-31,120.0,100.0
+a,20050331,120.0,100.0
+b,2005-06-30,125.0,100.0
+"""
+
+GOLDEN_SIMULATE = {
+    ("--n-banks", "10", "--n-periods", "40", "--seed", "5"): {
+        "panel.csv": "ea0cecd65b586a2e7a98074543032160eb2abfa695efc6813bae0d030ca0c58f",
+        "adjacency.csv": "06da4638b2825170c07ebdde21f0d903f56bec93fa2558f2c39d0c5ccd6bb58a",
+        "events.csv": "59b2198fb09ca1d83d0254ac0a558fbca667c081d6df0c4982584a2b406561bc",
+        "summary.json": "3de91ca13d5238c25a853711c8e942e6f0ca92c159b7a90d79178440f4e3c733",
+    },
+    ("--n-banks", "12", "--n-periods", "150", "--seed", "2", "--shock-probability", "0.5",
+     "--deposit-bank-count", "3", "--maturity", "20"): {
+        "panel.csv": "1f8adf2c8b3d2c4da9d35c5a04ae33174051011593eaaa100f07ccb8997b1948",
+        "adjacency.csv": "3ba57341fcb86fa4a5bf0f53a44aac2dfe671c19667621d2917a30ddfc73229e",
+        "events.csv": "f722a41e457a9e7d1ce93ca99df38bd959b6da4fb4d40f6ad333c24708e7cc39",
+        "summary.json": "6314fb7bd4ee7f8456e1c2e5d2ebbc1bf206fccfe063daab813b61af9cf2b431",
+    },
+}
+STUDY_FLAGS = ["--n-banks", "8", "--n-periods", "60", "--seed", "9"]
+GOLDEN_STUDY = "1871dc91e09806d7c6e4340d93f8ae2f8a07042143b2fcf1187526e012616899"
+
+
 class TestGoldenDigests:
     @pytest.fixture()
     def modular_csv(self, tmp_path, modular_panel):
@@ -419,3 +577,95 @@ class TestGoldenDigests:
         assert main(["curve", "--input", str(modular_csv), "--mode", mode,
                      "--out", str(out)]) == EXIT_OK
         assert sha256(out) == GOLDEN_CURVE[mode]
+
+    # -- ingest, simulate and study, recorded before the panel went columnar --
+
+    def test_ingest_lenient_hostile(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        Path("hostile.csv").write_text(HOSTILE, encoding="utf-8")
+        assert main(["ingest", "--input", "hostile.csv", "--out-dir", "out",
+                     *HOSTILE_COLUMNS]) == EXIT_OK
+        assert {name: sha256(Path("out") / name) for name in GOLDEN_HOSTILE} == GOLDEN_HOSTILE
+
+    def test_ingest_lenient_hostile_report(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        Path("hostile.csv").write_text(HOSTILE, encoding="utf-8")
+        assert main(["ingest", "--input", "hostile.csv", "--out-dir", "out",
+                     *HOSTILE_COLUMNS]) == EXIT_OK
+        report = json.loads(Path("out/census.json").read_text())
+        assert report["census"] == HOSTILE_CENSUS
+        assert report["validation"]["dropped"] == HOSTILE_DROPPED
+        assert report["validation"]["gapped_banks"] == ["GAP"]
+
+    @pytest.mark.parametrize("defect", list(STRICT_DEFECTS))
+    def test_ingest_strict_messages(self, tmp_path, monkeypatch, defect):
+        monkeypatch.chdir(tmp_path)
+        text, message = STRICT_DEFECTS[defect]
+        Path("p.csv").write_text(text, encoding="utf-8")
+        with pytest.raises(IngestError) as exc:
+            ingest_panel(IngestSpec("p.csv", mode="strict"))
+        assert str(exc.value) == message
+
+    @pytest.mark.skipif(sys.version_info < (3, 11),
+                        reason="fromisoformat reads the basic format from Python 3.11")
+    def test_two_spellings_of_one_date_are_a_duplicate(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        Path("p.csv").write_text(TWO_SPELLINGS, encoding="utf-8")
+        result = ingest_panel(IngestSpec("p.csv"))
+        assert result.report["dropped"] == [{"bank_id": "a", "reason": "duplicate dates"}]
+        assert result.panel.grid_labels == ("2005-03-31", "2005-06-30")
+        assert main(["ingest", "--input", "p.csv", "--out-dir", "out"]) == EXIT_OK
+        assert Path("out/panel.csv").read_text() == (
+            "bank_id,date,assets,liabilities\n"
+            "b,2005-03-31,120.0,100.0\nb,2005-06-30,125.0,100.0\n")
+        with pytest.raises(IngestError) as exc:
+            ingest_panel(IngestSpec("p.csv", mode="strict"))
+        assert str(exc.value) == "p.csv: bank 'a': duplicate dates"
+
+    @pytest.mark.parametrize("flags", list(GOLDEN_SIMULATE), ids=" ".join)
+    def test_simulate(self, tmp_path, flags):
+        out = tmp_path / "sim"
+        assert main(["simulate", "--out-dir", str(out), *flags]) == EXIT_OK
+        assert {name: sha256(out / name) for name in GOLDEN_SIMULATE[flags]} == \
+            GOLDEN_SIMULATE[flags]
+
+    def test_study(self, tmp_path):
+        out = tmp_path / "study.csv"
+        assert main(["study", "--runs", "3", "--out", str(out), *STUDY_FLAGS]) == EXIT_OK
+        assert sha256(out) == GOLDEN_STUDY
+
+
+class TestHostileFiles:
+    def test_oversized_field_is_a_validation_error(self, tmp_path, capsys):
+        src = write(tmp_path, "big.csv", "bank_id,date,assets,liabilities\n"
+                    "a,2005-03-31,120.0,100.0\n" + "b" * 200_000 + ",2005-03-31,1.0,0.5\n")
+        assert main(["ingest", "--input", str(src), "--out-dir", str(tmp_path / "o")]) == \
+            EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert f"{src}:3:" in err and "field larger than field limit" in err
+
+    def test_non_utf8_byte_is_a_validation_error(self, tmp_path, capsys):
+        src = tmp_path / "latin1.csv"
+        src.write_bytes(WELL_FORMED.replace("beta", "b\xe9ta").encode("latin-1"))
+        assert main(["ingest", "--input", str(src), "--out-dir", str(tmp_path / "o")]) == \
+            EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert str(src) in err and "utf-8" in err and "computation error" not in err
+
+    def test_non_utf8_byte_in_network_input(self, tmp_path, capsys):
+        src = tmp_path / "latin1.csv"
+        src.write_bytes(WELL_FORMED.replace("beta", "b\xe9ta").encode("latin-1"))
+        assert main(["network", "--input", str(src), "--rho", "0.5",
+                     "--out-dir", str(tmp_path / "o")]) == EXIT_VALIDATION
+        assert str(src) in capsys.readouterr().err
+
+    def test_date_only_a_dropped_bank_reports_is_still_a_grid_point(self, tmp_path):
+        text = WELL_FORMED + "gamma,2005-12-31,nan,1.0\n"
+        result = ingest_panel(IngestSpec(str(write(tmp_path, "p.csv", text))))
+        assert result.report["dropped"] == [
+            {"bank_id": "gamma", "reason": "gamma: non-finite balance sheet values"}]
+        assert result.panel.grid_labels == ("2005-03-31", "2005-06-30", "2005-09-30",
+                                             "2005-12-31")
+        assert result.panel.bank_ids == ("alpha", "beta")
+        assert result.complete.bank_ids == ()
+        assert (result.census.n_end, result.census.n_death) == (0, 2)
