@@ -20,7 +20,7 @@ import math
 import sys
 from array import array
 from dataclasses import dataclass, fields, replace
-from itertools import compress
+from itertools import chain, compress, filterfalse
 from pathlib import Path
 
 import numpy as np
@@ -92,64 +92,186 @@ def _csv_field(text: str) -> str:
     return buf.getvalue()[:-2]
 
 
-def _read_columns(spec: IngestSpec, path: Path):
-    """Stream rows into bank and date codes and float values, parsing each
-    distinct date once, then scatter them into (dates x banks) matrices.
-    Returns the sorted bank ids and dates, the row count of every cell, and
-    the assets and liabilities (NaN in cells no row fills)."""
-    bank_code: dict[str, int] = {}
-    date_code: dict[str, int] = {}
-    days: list[datetime.date] = []
-    banks, dates, assets, liabilities = array("q"), array("q"), array("d"), array("d")
+# a plain file is read this many characters at a time: larger blocks read no
+# faster and raise the peak resident set of the commands that ingest
+_BLOCK_CHARS = 1 << 14
+
+# ingest refuses a dense store over both limits: a sparse file (many banks,
+# each on its own dates) would otherwise allocate dates x banks cells
+_MAX_CELLS = 1 << 22
+_MAX_CELLS_PER_ROW = 64
+
+
+class _Columns:
+    """Bank and date codes and float values of the rows read so far; each
+    distinct date string is parsed once, in the order codes are given."""
+
+    def __init__(self):
+        self.bank_code: dict[str, int] = {}
+        self.date_code: dict[str, int] = {}
+        self.days: list[datetime.date] = []
+        self.banks, self.dates = array("q"), array("q")
+        self.assets, self.liabilities = array("d"), array("d")
+
+
+def _read_rows(lines, path: Path, picks, cols: _Columns, lineno: int, line_offset: int) -> None:
+    """The csv row loop over ``lines``, whose first row is record ``lineno``
+    after ``line_offset`` physical lines of the file. It reads every file the
+    block reader does not and is the only source of row errors."""
+    b_col, d_col, a_col, l_col = picks
+    bank_code, date_code, days = cols.bank_code, cols.date_code, cols.days
+    banks, dates, assets, liabilities = cols.banks, cols.dates, cols.assets, cols.liabilities
+    reader = csv.reader(lines)
+    try:
+        for lineno, row in enumerate(reader, start=lineno):
+            if not row:
+                continue
+            try:
+                bank = row[b_col].strip()
+                day = row[d_col].strip()
+                if day not in date_code:
+                    date_code[day] = len(days)
+                    days.append(datetime.date.fromisoformat(day))
+                a_val, l_val = float(row[a_col]), float(row[l_col])
+            except (IndexError, ValueError) as exc:
+                raise IngestError(f"{path}:{lineno}: malformed row: {exc}") from exc
+            if not bank:
+                raise IngestError(f"{path}:{lineno}: empty bank id")
+            banks.append(bank_code.setdefault(bank, len(bank_code)))
+            dates.append(date_code[day])
+            assets.append(a_val)
+            liabilities.append(l_val)
+    except csv.Error as exc:
+        raise IngestError(f"{path}:{line_offset + reader.line_num}: malformed csv: {exc}") from exc
+
+
+def _new_keys(code: dict[str, int], keys: list[str]) -> list[str]:
+    """The distinct ``keys`` that have no code yet, in order of appearance."""
+    return list(filterfalse(code.__contains__, dict.fromkeys(keys)))
+
+
+def _read_plain(text: str, width: int, picks, cols: _Columns) -> bool:
+    """Add the rows of ``text``, whole lines of the file, to ``cols`` a column
+    at a time. Returns False and leaves ``cols`` as it was unless the csv row
+    loop would read every line the same way and without an error: no quote,
+    CR or NUL, the header's field count on every non-blank line, no line over
+    the csv field size limit, no empty bank id, and every date and value
+    converts."""
+    # csv unquotes, ends lines at a CR too and, before Python 3.11, rejects NUL
+    if '"' in text or "\r" in text or "\0" in text:
+        return False
+    lines = text.split("\n")
+    limit = csv.field_size_limit()
+    if len(text) > limit and max(map(len, lines)) > limit:
+        return False
+    lines = list(filter(None, lines))  # a blank line is no row
+    if not lines:
+        return True
+    # each line but the last ends in a field holding its one newline, so the
+    # lines all have ``width`` fields exactly when the newlines all sit in the
+    # last column and the field count is right
+    fields = "\n,".join(lines).split(",")
+    if (len(fields) != len(lines) * width
+            or "".join(fields[width - 1::width]).count("\n") != len(lines) - 1):
+        return False
+    b_col, d_col, a_col, l_col = picks
+    banks = list(map(str.strip, fields[b_col::width]))
+    days = list(map(str.strip, fields[d_col::width]))
+    new_banks, new_days = _new_keys(cols.bank_code, banks), _new_keys(cols.date_code, days)
+    try:
+        parsed = list(map(datetime.date.fromisoformat, new_days))
+        assets = array("d", map(float, fields[a_col::width]))
+        liabilities = array("d", map(float, fields[l_col::width]))
+    except ValueError:
+        return False
+    if not all(banks):
+        return False
+    for code, new in ((cols.bank_code, new_banks), (cols.date_code, new_days)):
+        code.update(zip(new, range(len(code), len(code) + len(new))))
+    cols.days += parsed
+    cols.banks += array("q", map(cols.bank_code.__getitem__, banks))
+    cols.dates += array("q", map(cols.date_code.__getitem__, days))
+    cols.assets += assets
+    cols.liabilities += liabilities
+    return True
+
+
+def _read_blocks(fh, path: Path, width: int, picks, cols: _Columns,
+                 lineno: int, line_offset: int) -> None:
+    """Convert the file a block of plain lines at a time; from the first block
+    that is not plain on, the row loop reads the rest of the file."""
+    carry = ""
+    while True:
+        chunk = fh.read(_BLOCK_CHARS)
+        text = carry + chunk
+        cut = text.rfind("\n") + 1 if chunk else len(text)
+        block, carry = text[:cut], text[cut:]
+        if not _read_plain(block, width, picks, cols):
+            # finish the line the block cuts, so that it stays one line, and a
+            # CR before the cut and an LF after it one line end
+            lines = chain(io.StringIO(text + fh.readline(), newline=""), fh)
+            return _read_rows(lines, path, picks, cols, lineno, line_offset)
+        if not chunk:
+            return None
+        n_lines = block.count("\n")
+        lineno, line_offset = lineno + n_lines, line_offset + n_lines
+
+
+def _read_columns(spec: IngestSpec, path: Path, by_row: bool = False):
+    """Read the file into bank and date codes and float values, then scatter
+    them into (dates x banks) matrices. Returns the sorted bank ids and
+    dates, the row count of every cell, and the assets and liabilities (NaN
+    in cells no row fills). Plain blocks are converted a column at a time;
+    ``by_row`` reads every row with the csv row loop, the reference the
+    tests hold the block reader to."""
+    cols = _Columns()
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
-            header = next(reader, None)
+            try:
+                header = next(reader, None)
+            except csv.Error as exc:
+                raise IngestError(f"{path}:{reader.line_num}: malformed csv: {exc}") from exc
             if header is None:
                 raise IngestError(f"{path}: empty file")
             try:
-                b_col, d_col, a_col, l_col = [header.index(c) for c in (
+                picks = [header.index(c) for c in (
                     spec.bank_col, spec.date_col, spec.assets_col, spec.liabilities_col)]
             except ValueError as exc:
                 raise IngestError(f"{path}: missing column in header {header}: {exc}") from exc
-            for lineno, row in enumerate(reader, start=2):
-                if not row:
-                    continue
-                try:
-                    bank = row[b_col].strip()
-                    day = row[d_col].strip()
-                    if day not in date_code:
-                        date_code[day] = len(days)
-                        days.append(datetime.date.fromisoformat(day))
-                    a_val, l_val = float(row[a_col]), float(row[l_col])
-                except (IndexError, ValueError) as exc:
-                    raise IngestError(f"{path}:{lineno}: malformed row: {exc}") from exc
-                if not bank:
-                    raise IngestError(f"{path}:{lineno}: empty bank id")
-                banks.append(bank_code.setdefault(bank, len(bank_code)))
-                dates.append(date_code[day])
-                assets.append(a_val)
-                liabilities.append(l_val)
-    except csv.Error as exc:
-        raise IngestError(f"{path}:{reader.line_num}: malformed csv: {exc}") from exc
+            if by_row:
+                _read_rows(fh, path, picks, cols, 2, reader.line_num)
+            else:
+                _read_blocks(fh, path, len(header), picks, cols, 2, reader.line_num)
     except UnicodeDecodeError as exc:
+        if not by_row:
+            # block reads decode other byte chunks than the row loop's line
+            # reads: the row loop alone finds and words the first error
+            return _read_columns(spec, path, by_row=True)
         raise IngestError(f"{path}: not UTF-8 text: {exc}") from exc
-    if not banks:
+    if not cols.banks:
         raise IngestError(f"{path}: no data rows")
 
     # dates rank as parsed dates, so two spellings of one day are one grid point
-    grid_dates = sorted(set(days))
+    grid_dates = sorted(set(cols.days))
     rank = {day: k for k, day in enumerate(grid_dates)}
-    ids = sorted(bank_code)
+    ids = sorted(cols.bank_code)
     column = {bank: k for k, bank in enumerate(ids)}
     shape = (len(grid_dates), len(ids))
+    n_cells, n_rows = shape[0] * shape[1], len(cols.banks)
+    if n_cells > max(_MAX_CELLS, _MAX_CELLS_PER_ROW * n_rows):
+        raise IngestError(
+            f"{path}: {shape[0]} dates x {shape[1]} banks from {n_rows} rows: "
+            f"a dense panel of {n_cells} cells is over the limit of {_MAX_CELLS} cells "
+            f"and {_MAX_CELLS_PER_ROW} cells per row")
     cell = np.ravel_multi_index(
-        (np.array([rank[day] for day in days])[np.frombuffer(dates, np.int64)],
-         np.array([column[bank] for bank in bank_code])[np.frombuffer(banks, np.int64)]), shape)
-    count = np.bincount(cell, minlength=shape[0] * shape[1]).reshape(shape)
+        (np.array([rank[day] for day in cols.days])[np.frombuffer(cols.dates, np.int64)],
+         np.array([column[bank] for bank in cols.bank_code])[np.frombuffer(cols.banks, np.int64)]),
+        shape)
+    count = np.bincount(cell, minlength=n_cells).reshape(shape)
     a_mat, l_mat = np.full(shape, np.nan), np.full(shape, np.nan)
-    a_mat.reshape(-1)[cell] = np.frombuffer(assets)
-    l_mat.reshape(-1)[cell] = np.frombuffer(liabilities)
+    a_mat.reshape(-1)[cell] = np.frombuffer(cols.assets)
+    l_mat.reshape(-1)[cell] = np.frombuffer(cols.liabilities)
     return ids, grid_dates, count, a_mat, l_mat
 
 

@@ -30,6 +30,7 @@ replication ``r`` of a study uses ``default_rng([seed, r])``.
 from __future__ import annotations
 
 import datetime
+import functools
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
@@ -402,6 +403,12 @@ def period_date(t: int) -> str:
     return (datetime.date(2000, 1, 1) + datetime.timedelta(days=int(t))).isoformat()
 
 
+@functools.cache
+def _period_labels(n_periods: int) -> tuple[str, ...]:
+    """``period_date`` of periods 0 to ``n_periods``, formatted once per length."""
+    return tuple(period_date(t) for t in range(n_periods + 1))
+
+
 def run(config: SimConfig, rng: np.random.Generator | None = None) -> SimOutput:
     """Simulate ``n_periods`` periods and assemble the output panel.
 
@@ -424,7 +431,7 @@ def run(config: SimConfig, rng: np.random.Generator | None = None) -> SimOutput:
     leverage = liab / equity
 
     ids = tuple(bank_label(i, n) for i in range(n))
-    labels = tuple(period_date(t) for t in range(t_max + 1))
+    labels = _period_labels(t_max)
     panel = Panel(f"sim-seed{config.seed}", ids, np.arange(t_max + 1), assets, liab, labels)
     adjacency = AdjacencyHistory(tuple(tuple(p) for p in state.adjacency))
     return SimOutput(config, ids, assets, liab, leverage, panel,

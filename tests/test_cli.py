@@ -21,7 +21,7 @@ from levnet.cli import (
     write_panel_csv,
 )
 from levnet.balance_sheet import Panel
-from levnet.sim import ConfigError, SimConfig
+from levnet.sim import ConfigError, SimConfig, period_date
 
 from conftest import series_from_leverage
 
@@ -658,6 +658,17 @@ class TestHostileFiles:
         assert main(["network", "--input", str(src), "--rho", "0.5",
                      "--out-dir", str(tmp_path / "o")]) == EXIT_VALIDATION
         assert str(src) in capsys.readouterr().err
+
+    def test_sparse_file_over_the_dense_memory_limit_is_a_validation_error(self, tmp_path,
+                                                                             capsys):
+        # 3,000 banks, each on its own date: 9,000,000 cells from 3,000 rows
+        rows = "".join(f"b{k},{period_date(k)},2.0,1.0\n" for k in range(3000))
+        src = write(tmp_path, "sparse.csv", "bank_id,date,assets,liabilities\n" + rows)
+        assert main(["ingest", "--input", str(src), "--out-dir", str(tmp_path / "o")]) == \
+            EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert str(src) in err and "3000 dates x 3000 banks from 3000 rows" in err
+        assert not (tmp_path / "o").exists()
 
     def test_date_only_a_dropped_bank_reports_is_still_a_grid_point(self, tmp_path):
         text = WELL_FORMED + "gamma,2005-12-31,nan,1.0\n"

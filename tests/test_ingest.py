@@ -1,12 +1,14 @@
-"""Columnar ingest against a per-bank reference on small panels with planted defects."""
+"""Columnar ingest against a per-bank reference on small panels with planted
+defects, and the block reader against the csv row loop on hostile files."""
 
 import csv
 import datetime
 import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from levnet import cli
 from levnet.cli import IngestError, IngestSpec, ingest_panel
 
 DATES = ("2005-03-31", "2005-06-30", "2005-09-30", "2005-12-31", "2006-03-31", "2006-06-30")
@@ -136,3 +138,121 @@ def test_literal_non_finite_is_never_a_missing_observation(tmp_path, spelling):
     assert result.report["dropped"] == [
         {"bank_id": "b", "reason": "b: non-finite balance sheet values"}]
     assert result.complete.bank_ids == ("a",)
+
+
+# pieces of a panel file: plain ones, and the hostile ones edits put in
+HEADERS = ("bank_id,date,assets,liabilities", "date,extra,liabilities,bank_id,assets")
+FIELDS = {"bank_id": ("a", "b", "B00", " a", "b ", "é"),
+          "date": ("2005-03-31", "2005-06-30", " 2005-09-30", "2005-12-31 ", "20050331")}
+VALUES = ("1.5", "120.0", "3e2", "2", "0", "-1", "nan", "-Infinity", "1_0", "١٢", " 7 ")
+ODD_HEADERS = ('"bank_id",date,assets,liabilities', "bank_id,date,assets", "")
+LONG = "0." + "0" * 46 + "1"  # over a field size limit of 48, which plain lines are under
+ODD_FIELDS = {"bank_id": ("", "  ", '"Banco, SA"', '"q"', 'x"y', "n\0"),
+              "date": ("2005-13-01", "x", "", '"2005-03-31"', "2005-03-31\r")}
+ODD_VALUES = ('"2"', "1e", "abc", "7\r", "1\0", LONG, LONG)
+ODD_LINES = ("", "   ", ",,,", "a,2005-03-31", "a,2005-03-31,2,1,9,9")
+EDITS = ("field", "field", "field", "field", "shift", "line", "short", "long", "crlf", "cr",
+         "byte")
+
+
+@st.composite
+def hostile_files(draw):
+    """The bytes of a panel file: plain rows, maybe a run long enough to span
+    several 8 KiB decode chunks, with up to three hostile edits."""
+    header = draw(st.sampled_from(HEADERS))
+    names = header.split(",")
+    rows = [[draw(st.sampled_from(FIELDS.get(name, VALUES))) for name in names]
+            for _ in range(draw(st.integers(0, 12)))]
+    if draw(st.sampled_from([False, False, False, True])):
+        plain = {"bank_id": "{}", "date": "2006-0{}-15"}
+        rows[:0] = [[plain.get(name, "{}.25").format(k % 9 + 1) for name in names]
+                    for k in range(1000)]
+    rows.insert(0, names)
+    endings = ["\n"] * len(rows)
+    byte_at = None
+    for edit in draw(st.lists(st.sampled_from(EDITS), max_size=3)):
+        k = draw(st.integers(0, len(rows) - 1))
+        if edit == "field":
+            j = draw(st.integers(0, len(names) - 1))
+            rows[k][j % len(rows[k])] = draw(st.sampled_from(ODD_FIELDS.get(names[j], ODD_VALUES)))
+        elif edit == "shift":
+            if k + 1 < len(rows):
+                rows[k + 1].insert(0, rows[k].pop())  # one row short, the next long
+        elif edit == "line":
+            rows[k] = [draw(st.sampled_from(ODD_HEADERS if k == 0 else ODD_LINES))]
+        elif edit in ("short", "long"):
+            rows[k] = rows[k][:-1] if edit == "short" else rows[k] + ["9"]
+        elif edit in ("crlf", "cr"):
+            endings[k] = "\r\n" if edit == "crlf" else "\r"
+        else:
+            byte_at = draw(st.integers(0, 1 << 20))
+    text = "".join(",".join(row) + end for row, end in zip(rows, endings))
+    if draw(st.booleans()):
+        text = text.rstrip("\r\n")
+    data = text.encode("utf-8")
+    if byte_at is not None:
+        at = byte_at % (len(data) + 1)
+        data = data[:at] + b"\xff" + data[at:]
+    return data
+
+
+def read_outcome(path, by_row):
+    try:
+        ids, grid_dates, count, assets, liabilities = cli._read_columns(
+            IngestSpec(str(path)), path, by_row=by_row)
+    except IngestError as exc:
+        return str(exc)
+    return (ids, grid_dates, count.shape, count.tobytes(), assets.tobytes(),
+            liabilities.tobytes())
+
+
+PLAIN_HEAD = b"bank_id,date,assets,liabilities\na,2005-03-31,2,1\nb,2005-03-31,3,1\n"
+
+
+@settings(max_examples=500, deadline=None)
+@example(data=PLAIN_HEAD + b'"q",2005-06-30,2,1\n', block=8, limit=None)
+@example(data=PLAIN_HEAD + b"a,2005-06-30,7\r,1\n", block=8, limit=None)
+@example(data=PLAIN_HEAD + b"a,2005-06-30,2\n1,b,2005-06-30,2,1\n", block=1 << 16, limit=None)
+@example(data=PLAIN_HEAD + b",2005-06-30,2,1\n", block=8, limit=None)
+@example(data=PLAIN_HEAD + f"a,2005-06-30,{LONG},1\n".encode(), block=8, limit=48)
+@given(data=hostile_files(), block=st.sampled_from([1, 2, 3, 5, 8, 13, 64, 1 << 16]),
+       limit=st.sampled_from([None, 48]))
+def test_block_reader_matches_the_row_loop(tmp_path_factory, data, block, limit):
+    path = tmp_path_factory.mktemp("hostile") / "p.csv"
+    path.write_bytes(data)
+    default_limit = csv.field_size_limit()
+    try:
+        if limit is not None:
+            csv.field_size_limit(limit)
+        expected = read_outcome(path, by_row=True)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cli, "_BLOCK_CHARS", block)
+            assert read_outcome(path, by_row=False) == expected
+    finally:
+        csv.field_size_limit(default_limit)
+
+
+def test_plain_file_never_reaches_the_row_loop(tmp_path, monkeypatch):
+    path = tmp_path / "p.csv"
+    path.write_text("bank_id,date,assets,liabilities\n\n a ,2005-03-31,2,1\n"
+                    "b,2005-03-31 ,nan,1\n\na,2005-06-30,-Infinity,1_0", encoding="utf-8")
+    expected = read_outcome(path, by_row=True)
+    monkeypatch.setattr(cli, "_BLOCK_CHARS", 7)
+    monkeypatch.setattr(cli, "_read_rows", None)
+    assert read_outcome(path, by_row=False) == expected
+    assert expected[0] == ["a", "b"] and expected[2] == (2, 2)
+
+
+@pytest.mark.parametrize("bad_row", [None, 40, 1500])
+def test_decode_error_is_the_row_loops_in_a_long_file(tmp_path, bad_row):
+    """Past the first 8 KiB the block reads decode other chunks than the
+    row loop; the error, and a row error before it, are still the row loop's."""
+    rows = [f"b{k % 9},2006-0{k % 9 + 1}-15,{k}.25,1.0\n" for k in range(2000)]
+    if bad_row is not None:
+        rows[bad_row] = "b1,2006-01-15,x,1.0\n"
+    data = ("bank_id,date,assets,liabilities\n" + "".join(rows)).encode("utf-8")
+    path = tmp_path / "p.csv"
+    path.write_bytes(data[:30_000] + b"\xff" + data[30_000:])
+    expected = read_outcome(path, by_row=True)
+    assert read_outcome(path, by_row=False) == expected
+    assert ("malformed row" if bad_row == 40 else "not UTF-8") in expected
