@@ -17,10 +17,12 @@ import datetime
 import io
 import json
 import math
+import os
 import sys
 from array import array
+from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
-from itertools import chain, compress, filterfalse
+from itertools import chain, compress, filterfalse, repeat
 from pathlib import Path
 
 import numpy as np
@@ -84,6 +86,23 @@ class IngestResult:
 
 def _fmt(x: float) -> str:
     return repr(float(x))
+
+
+@contextmanager
+def _atomic_write(path: Path, newline: str | None = None):
+    """A text file for writing ``path``: a sibling temp file that replaces
+    ``path`` when the block ends, and is removed if the block raises, so that
+    ``path`` keeps its old bytes or has all the new ones."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.urandom(4).hex()}.tmp")
+    fh = open(tmp, "x", encoding="utf-8", newline=newline)
+    try:
+        with fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _csv_field(text: str) -> str:
@@ -154,12 +173,17 @@ def _read_plain(text: str, width: int, picks, cols: _Columns) -> bool:
     """Add the rows of ``text``, whole lines of the file, to ``cols`` a column
     at a time. Returns False and leaves ``cols`` as it was unless the csv row
     loop would read every line the same way and without an error: no quote,
-    CR or NUL, the header's field count on every non-blank line, no line over
-    the csv field size limit, no empty bank id, and every date and value
-    converts."""
-    # csv unquotes, ends lines at a CR too and, before Python 3.11, rejects NUL
-    if '"' in text or "\r" in text or "\0" in text:
+    NUL or CR but in a CRLF line end, the header's field count on every
+    non-blank line, no line over the csv field size limit, no empty bank id,
+    and every date and value converts."""
+    # csv unquotes, ends lines at a lone CR too and, before Python 3.11,
+    # rejects NUL
+    if '"' in text or "\0" in text:
         return False
+    if "\r" in text:
+        if text.count("\r") != text.count("\r\n"):
+            return False
+        text = text.replace("\r\n", "\n")
     lines = text.split("\n")
     limit = csv.field_size_limit()
     if len(text) > limit and max(map(len, lines)) > limit:
@@ -330,19 +354,42 @@ def ingest_panel(spec: IngestSpec) -> IngestResult:
 
 
 def write_panel_csv(panel: bs.Panel, path: Path) -> None:
-    """Rows sorted by (bank_id, time); dates from the panel's grid labels."""
+    """Rows sorted by (bank_id, time); dates from the panel's grid labels.
+
+    The file is written a bank at a time. A bank's balance sheet stays as it
+    was in most periods, so each run of rows with the same (assets,
+    liabilities) is formatted once. Runs compare bits, not values: 0.0 and
+    -0.0 are equal with different reprs."""
     labels = panel.grid_labels or tuple(period_date(int(t)) for t in panel.grid)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    dates = [f",{label}," for label in labels]
+    assets, liabilities = panel.assets, panel.liabilities
+    seen = ~np.isnan(assets)
+    # a run starts at the first date and where a pair's bits change, so also
+    # after every date the bank does not report: no number has the bits of NaN
+    bits_a, bits_l = assets.view(np.int64), liabilities.view(np.int64)
+    start = np.ones(assets.shape, dtype=bool)
+    start[1:] = (bits_a[1:] != bits_a[:-1]) | (bits_l[1:] != bits_l[:-1])
+    start &= seen
+    # each run's pair and row count, in file order
+    run_a, run_l = assets.T[start.T], liabilities.T[start.T]
+    run_rows = np.diff(np.flatnonzero(start.T[seen.T]), append=np.count_nonzero(seen))
+    with _atomic_write(path, newline="") as fh:
         fh.write("bank_id,date,assets,liabilities\n")
-        for bank, assets, liabilities in zip(panel.bank_ids, panel.assets.T, panel.liabilities.T):
-            bank = _csv_field(bank)
-            rows = np.flatnonzero(~np.isnan(assets))
-            for t, a, l in zip(rows.tolist(), assets[rows].tolist(), liabilities[rows].tolist()):
-                fh.write(f"{bank},{labels[t]},{a!r},{l!r}\n")
+        hi = 0
+        for k, (bank, n_rows, n_runs) in enumerate(zip(
+                panel.bank_ids, seen.sum(axis=0).tolist(), start.sum(axis=0).tolist())):
+            lo, hi = hi, hi + n_runs
+            pairs = [f"{a!r},{l!r}\n" for a, l in zip(run_a[lo:hi].tolist(), run_l[lo:hi].tolist())]
+            pieces = [_csv_field(bank)] * (3 * n_rows)
+            pieces[1::3] = compress(dates, seen[:, k].tolist())
+            # every row its own run, as in a reporting panel: nothing to repeat
+            pieces[2::3] = pairs if n_runs == n_rows else chain.from_iterable(
+                map(repeat, pairs, run_rows[lo:hi].tolist()))
+            fh.write("".join(pieces))
 
 
 def write_curve_csv(curve: net.ClusterCurve, path: Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with _atomic_write(path) as fh:
         fh.write("rho,largest_fraction\n")
         for rho, frac in curve.points:
             fh.write(f"{_fmt(rho)},{_fmt(frac)}\n")
@@ -350,7 +397,7 @@ def write_curve_csv(curve: net.ClusterCurve, path: Path) -> None:
 
 def write_study_csv(study: ReplicationStudy, path: Path) -> None:
     """One row per bank and run; the top pair's roles are pair1 and pair2."""
-    with open(path, "w", encoding="utf-8") as fh:
+    with _atomic_write(path) as fh:
         fh.write("run,bank_id,role,leverage_growth,assets_growth,"
                  "population_median_assets_growth,population_median_leverage_growth\n")
         for rec in study.run_records:
@@ -362,7 +409,7 @@ def write_study_csv(study: ReplicationStudy, path: Path) -> None:
 
 
 def _write_json(obj: dict, path: Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with _atomic_write(path) as fh:
         json.dump(obj, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
@@ -483,11 +530,11 @@ def cmd_network(args: argparse.Namespace) -> int:
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     names = [_csv_field(bank) for bank in network.nodes]
-    with open(out / "edges.csv", "w", encoding="utf-8") as fh:
+    with _atomic_write(out / "edges.csv") as fh:
         fh.write("bank_a,bank_b,r\n")
         for i, j, r in network.edges:
             fh.write(f"{names[i]},{names[j]},{_fmt(r)}\n")
-    with open(out / "components.csv", "w", encoding="utf-8") as fh:
+    with _atomic_write(out / "components.csv") as fh:
         fh.write("bank_id,component_id,component_size\n")
         for bank, comp in zip(names, part.assignment):
             fh.write(f"{bank},{comp},{part.sizes[comp]}\n")
@@ -540,11 +587,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     write_panel_csv(output.panel, out / "panel.csv")
-    with open(out / "adjacency.csv", "w", encoding="utf-8") as fh:
+    with _atomic_write(out / "adjacency.csv") as fh:
         fh.write("period,lender_id,borrower_id,amount\n")
         for t, lender, borrower, amount in output.adjacency:
             fh.write(f"{t},{output.bank_ids[lender]},{output.bank_ids[borrower]},{_fmt(amount)}\n")
-    with open(out / "events.csv", "w", encoding="utf-8") as fh:
+    with _atomic_write(out / "events.csv") as fh:
         fh.write("period,event,bank_a,bank_b,amount\n")
         for ev in output.events:
             other = output.bank_ids[ev.counterparty] if ev.counterparty is not None else ""

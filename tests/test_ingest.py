@@ -172,6 +172,8 @@ def hostile_files(draw):
     byte_at = None
     for edit in draw(st.lists(st.sampled_from(EDITS), max_size=3)):
         k = draw(st.integers(0, len(rows) - 1))
+        if not rows[k] and edit in ("field", "shift"):
+            continue  # an earlier edit emptied the row: no field to edit or move
         if edit == "field":
             j = draw(st.integers(0, len(names) - 1))
             rows[k][j % len(rows[k])] = draw(st.sampled_from(ODD_FIELDS.get(names[j], ODD_VALUES)))
@@ -236,6 +238,17 @@ def test_plain_file_never_reaches_the_row_loop(tmp_path, monkeypatch):
     path = tmp_path / "p.csv"
     path.write_text("bank_id,date,assets,liabilities\n\n a ,2005-03-31,2,1\n"
                     "b,2005-03-31 ,nan,1\n\na,2005-06-30,-Infinity,1_0", encoding="utf-8")
+    expected = read_outcome(path, by_row=True)
+    monkeypatch.setattr(cli, "_BLOCK_CHARS", 7)
+    monkeypatch.setattr(cli, "_read_rows", None)
+    assert read_outcome(path, by_row=False) == expected
+    assert expected[0] == ["a", "b"] and expected[2] == (2, 2)
+
+
+def test_crlf_plain_file_never_reaches_the_row_loop(tmp_path, monkeypatch):
+    path = tmp_path / "p.csv"
+    path.write_bytes(b"bank_id,date,assets,liabilities\r\n\r\n a ,2005-03-31,2,1\r\n"
+                     b"b,2005-03-31 ,nan,1\r\n\r\na,2005-06-30,-Infinity,1_0\r\n")
     expected = read_outcome(path, by_row=True)
     monkeypatch.setattr(cli, "_BLOCK_CHARS", 7)
     monkeypatch.setattr(cli, "_read_rows", None)
