@@ -23,8 +23,8 @@ from dataclasses import replace
 
 import numpy as np
 
-from levnet.growth import growth_record, most_correlated_pair
-from levnet.network import cluster_curve, components, correlation_matrix, threshold_network
+from levnet.growth import growth_records, most_correlated_pair
+from levnet.network import cluster_curve, components, leverage_correlation, threshold_network
 from levnet.sim import SimConfig, run
 
 RHO_GRID = [round(k * 0.01, 10) for k in range(101)]
@@ -47,11 +47,11 @@ def evaluate(config: SimConfig, seeds: range, mode: str = "signed"):
         out = run(replace(config, seed=seed))
         tail = out.mean_leverage[-1001:]
         slope = np.polyfit(np.arange(tail.size), tail, 1)[0]
-        matrix = correlation_matrix(out.leverage_series_set())
+        matrix = leverage_correlation(out.panel)
         rho_hi, rho_lo, jump_at, jump = curve_stats(cluster_curve(matrix, RHO_GRID, mode))
         part = components(threshold_network(matrix, 0.8, mode))
         a, b, _ = most_correlated_pair(matrix)
-        recs = {g.bank_id: g for g in (growth_record(m) for m in out.panel.members)}
+        recs = {g.bank_id: g for g in growth_records(out.panel)}
         med_ast = np.median([g.assets_growth for g in recs.values()])
         med_lev = np.median([g.leverage_growth for g in recs.values()])
         pair_ast = recs[a].assets_growth > med_ast and recs[b].assets_growth > med_ast

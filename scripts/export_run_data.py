@@ -16,9 +16,9 @@ import argparse
 from dataclasses import replace
 from pathlib import Path
 
-from levnet.cli import read_sim_config, write_curve_csv, write_study_csv
+from levnet.cli import _atomic_write, read_sim_config, write_curve_csv, write_study_csv
 from levnet.growth import replication_study
-from levnet.network import cluster_curve, components, correlation_matrix, threshold_network
+from levnet.network import cluster_curve, components, leverage_correlation, threshold_network
 from levnet.sim import SimConfig, run
 
 
@@ -39,15 +39,15 @@ def main() -> None:
     out.mkdir(parents=True, exist_ok=True)
 
     grid = [round(0.01 * k, 10) for k in range(101)]
-    with open(out / "mean_traces.csv", "w", encoding="utf-8") as traces, \
-            open(out / "topology.csv", "w", encoding="utf-8") as topo:
+    with _atomic_write(out / "mean_traces.csv") as traces, \
+            _atomic_write(out / "topology.csv") as topo:
         traces.write("seed,period,mean_assets,mean_leverage\n")
         topo.write("seed,n,n_edges,largest_fraction,n_isolated,n_components\n")
         for seed in range(args.seeds):
             output = run(replace(config, seed=seed))
             for t, (a, l) in enumerate(zip(output.mean_assets, output.mean_leverage)):
                 traces.write(f"{seed},{t},{fmt(a)},{fmt(l)}\n")
-            matrix = correlation_matrix(output.leverage_series_set())
+            matrix = leverage_correlation(output.panel)
             write_curve_csv(cluster_curve(matrix, grid), out / f"curve_seed{seed}.csv")
             net = threshold_network(matrix, 0.8)
             part = components(net)

@@ -7,18 +7,14 @@ pipeline.
 """
 
 from .balance_sheet import (
-    BankSeries,
     CensusReport,
     DegenerateEquityError,
     DomainError,
     EmptyPanelWarning,
-    LeverageSeries,
     Panel,
     census,
     central_leverage,
     filter_complete,
-    leverage_of,
-    leverage_series,
 )
 from .growth import (
     GrowthRecord,
@@ -26,7 +22,7 @@ from .growth import (
     ReplicationStudy,
     RunRecord,
     ZeroInitialLeverageError,
-    growth_record,
+    growth_records,
     most_correlated_pair,
     replication_study,
 )
@@ -34,12 +30,11 @@ from .network import (
     ClusterCurve,
     ComponentPartition,
     CorrelationMatrix,
-    GridMismatchError,
     InsufficientPairsError,
     LeverageNetwork,
+    LinkMode,
     cluster_curve,
     components,
-    correlation_matrix,
     leverage_correlation,
     pearson,
     threshold_network,
@@ -49,7 +44,6 @@ from .sim import (
     AdjacencyHistory,
     ConfigError,
     LoanRecord,
-    SimBank,
     SimConfig,
     SimEvent,
     SimOutput,

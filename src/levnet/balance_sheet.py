@@ -16,23 +16,19 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from itertools import compress
-from typing import Iterable, Literal
+from typing import Literal
 
 import numpy as np
 
 __all__ = [
-    "BankSeries",
     "CensusReport",
     "DegenerateEquityError",
     "DomainError",
     "EmptyPanelWarning",
-    "LeverageSeries",
     "Panel",
     "census",
     "central_leverage",
     "filter_complete",
-    "leverage_of",
-    "leverage_series",
 ]
 
 
@@ -57,67 +53,6 @@ class EmptyPanelWarning(UserWarning):
 def _readonly(arr: np.ndarray) -> np.ndarray:
     arr.flags.writeable = False
     return arr
-
-
-@dataclass(frozen=True, eq=False)
-class BankSeries:
-    """One bank's (time, assets, liabilities) observations, validated on build.
-
-    Times are strictly increasing integers; assets are positive and strictly
-    exceed liabilities at every observation (equity stays positive).
-    """
-
-    bank_id: str
-    times: np.ndarray
-    assets: np.ndarray
-    liabilities: np.ndarray
-
-    def __post_init__(self):
-        times = np.asarray(self.times, dtype=np.int64)
-        assets = np.asarray(self.assets, dtype=np.float64)
-        liab = np.asarray(self.liabilities, dtype=np.float64)
-        if not (times.ndim == assets.ndim == liab.ndim == 1):
-            raise DomainError(f"{self.bank_id}: series must be one-dimensional")
-        if not (len(times) == len(assets) == len(liab)):
-            raise DomainError(f"{self.bank_id}: mismatched series lengths")
-        if len(times) == 0:
-            raise DomainError(f"{self.bank_id}: empty series")
-        if np.any(np.diff(times) <= 0):
-            raise DomainError(f"{self.bank_id}: time indices must be strictly increasing")
-        for error in _faults((self.bank_id,), times, assets[:, None], liab[:, None]).values():
-            raise error
-        object.__setattr__(self, "times", _readonly(times))
-        object.__setattr__(self, "assets", _readonly(assets))
-        object.__setattr__(self, "liabilities", _readonly(liab))
-
-    @classmethod
-    def from_observations(cls, bank_id: str,
-                          observations: Iterable[tuple[int, float, float]]) -> "BankSeries":
-        obs = sorted(observations)
-        times = [o[0] for o in obs]
-        return cls(bank_id,
-                   np.array(times, dtype=np.int64),
-                   np.array([o[1] for o in obs], dtype=np.float64),
-                   np.array([o[2] for o in obs], dtype=np.float64))
-
-    def __len__(self) -> int:
-        return len(self.times)
-
-
-@dataclass(frozen=True, eq=False)
-class LeverageSeries:
-    """A bank's leverage ratio on its observation grid."""
-
-    bank_id: str
-    times: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "times", _readonly(np.asarray(self.times, dtype=np.int64)))
-        object.__setattr__(self, "values", _readonly(np.asarray(self.values, dtype=np.float64)))
-
-    def __len__(self) -> int:
-        return len(self.times)
 
 
 @dataclass(frozen=True, eq=False)
@@ -158,32 +93,6 @@ class Panel:
                 raise ValueError("grid_labels length must match grid length")
             object.__setattr__(self, "grid_labels", labels)
 
-    @classmethod
-    def from_members(cls, label: str, members: Iterable[BankSeries],
-                     grid_labels: Iterable[str] | None = None) -> "Panel":
-        members = sorted(members, key=lambda m: m.bank_id)
-        ids = [m.bank_id for m in members]
-        if len(set(ids)) != len(ids):
-            raise ValueError(f"duplicate bank ids in panel {label!r}")
-        if not members:
-            raise ValueError(f"panel {label!r} has no members")
-        grid = np.unique(np.concatenate([m.times for m in members]))
-        assets = np.full((len(grid), len(members)), np.nan)
-        liab = np.full_like(assets, np.nan)
-        for k, m in enumerate(members):
-            rows = np.searchsorted(grid, m.times)
-            assets[rows, k], liab[rows, k] = m.assets, m.liabilities
-        labels = tuple(grid_labels) if grid_labels is not None else None
-        return cls(label, tuple(ids), grid, assets, liab, labels)
-
-    @property
-    def members(self) -> tuple[BankSeries, ...]:
-        """One bank series per column, built on demand from the observed cells."""
-        seen = ~np.isnan(self.assets)
-        return tuple(BankSeries(bank, self.grid[rows], self.assets[rows, k],
-                                self.liabilities[rows, k])
-                     for k, (bank, rows) in enumerate(zip(self.bank_ids, seen.T)))
-
     def __len__(self) -> int:
         return len(self.bank_ids)
 
@@ -215,9 +124,15 @@ def _faults(bank_ids: tuple[str, ...], times: np.ndarray, assets: np.ndarray,
     return errors
 
 
+def _leverage(assets: np.ndarray, liabilities: np.ndarray) -> np.ndarray:
+    """Leverage, liabilities / (assets - liabilities), cell by cell: the one
+    definition that correlations, growth records and central values use."""
+    return liabilities / (assets - liabilities)
+
+
 def _leverage_matrix(panel: Panel) -> np.ndarray:
-    """(banks x dates) leverage rows, C-contiguous, as stacking each bank's series gives."""
-    return np.ascontiguousarray((panel.liabilities / (panel.assets - panel.liabilities)).T)
+    """The panel's leverage as C-contiguous (banks x dates) rows."""
+    return np.ascontiguousarray(_leverage(panel.assets, panel.liabilities).T)
 
 
 @dataclass(frozen=True)
@@ -237,31 +152,16 @@ class CensusReport:
     n_complete: int
 
 
-def leverage_of(assets: float, liabilities: float) -> float:
-    """Leverage ratio: liabilities / (assets - liabilities)."""
-    error = _faults(("",), np.zeros(1), np.array([[assets]], dtype=np.float64),
-                    np.array([[liabilities]], dtype=np.float64)).get(0)
-    if isinstance(error, DegenerateEquityError):
-        raise DegenerateEquityError(
-            f"liabilities ({liabilities}) >= assets ({assets}): equity is not positive")
-    if error is not None:
-        raise DomainError(f"invalid balance sheet: assets={assets}, liabilities={liabilities}")
-    return liabilities / (assets - liabilities)
-
-
-def leverage_series(series: BankSeries) -> LeverageSeries:
-    """Pointwise leverage of a bank series, preserving its time grid."""
-    values = series.liabilities / (series.assets - series.liabilities)
-    return LeverageSeries(series.bank_id, series.times, values)
-
-
 def filter_complete(panel: Panel) -> Panel:
     """Keep only members with an observation at every grid point.
 
     The grid itself is unchanged. Warns (EmptyPanelWarning) when nothing
-    survives. Idempotent.
+    survives. A panel whose members are all complete is returned as is (it
+    is immutable), so filtering is idempotent and free the second time.
     """
     keep = ~np.isnan(panel.assets).any(axis=0)
+    if keep.all():
+        return panel
     if len(panel) and not keep.any():
         warnings.warn(f"panel {panel.label!r}: no complete members", EmptyPanelWarning)
     return Panel(panel.label, tuple(compress(panel.bank_ids, keep)), panel.grid,
@@ -291,7 +191,7 @@ def central_leverage(panel: Panel, statistic: Literal["median", "mean"] = "media
     if not complete.all():
         incomplete = list(compress(panel.bank_ids, ~complete))
         raise ValueError(f"panel has incomplete members (filter first): {incomplete[:5]}")
-    # banks x dates, so that the mean sums bank by bank as stacking series does
+    # banks x dates, so that the mean sums bank by bank
     stack = _leverage_matrix(panel)
     agg = np.median(stack, axis=0) if statistic == "median" else np.mean(stack, axis=0)
     return list(zip(panel.grid.tolist(), agg.tolist()))

@@ -11,8 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .balance_sheet import BankSeries, leverage_of
-from .network import CorrelationMatrix, InsufficientPairsError, correlation_matrix, top_m_network
+from .balance_sheet import Panel, _leverage
+from .network import CorrelationMatrix, InsufficientPairsError, leverage_correlation, top_m_network
 from .sim import SimConfig, SimOutput, run
 
 __all__ = [
@@ -21,7 +21,7 @@ __all__ = [
     "ReplicationStudy",
     "RunRecord",
     "ZeroInitialLeverageError",
-    "growth_record",
+    "growth_records",
     "most_correlated_pair",
     "replication_study",
 ]
@@ -78,27 +78,23 @@ def most_correlated_pair(matrix: CorrelationMatrix) -> tuple[str, str, float]:
     return matrix.bank_ids[i], matrix.bank_ids[j], r
 
 
-def growth_record(series: BankSeries) -> GrowthRecord:
-    """Assets and leverage growth between the first and last observation."""
-    return _growth(series.bank_id, series.assets, series.liabilities)
-
-
-def _growth(bank_id: str, assets: np.ndarray, liabilities: np.ndarray) -> GrowthRecord:
-    lev0 = leverage_of(float(assets[0]), float(liabilities[0]))
-    lev1 = leverage_of(float(assets[-1]), float(liabilities[-1]))
-    if lev0 == 0.0:
+def growth_records(panel: Panel) -> tuple[GrowthRecord, ...]:
+    """Each bank's leverage and assets growth, last grid point over first."""
+    assets = panel.assets[[0, -1]]
+    lev = _leverage(assets, panel.liabilities[[0, -1]])
+    zero = np.flatnonzero(lev[0] == 0.0)
+    if zero.size:
         raise ZeroInitialLeverageError(
-            f"{bank_id}: initial leverage is zero, growth undefined")
-    return GrowthRecord(bank_id, lev1 / lev0, float(assets[-1]) / float(assets[0]))
+            f"{panel.bank_ids[zero[0]]}: initial leverage is zero, growth undefined")
+    return tuple(map(GrowthRecord, panel.bank_ids,
+                     (lev[1] / lev[0]).tolist(), (assets[1] / assets[0]).tolist()))
 
 
 def _study_run(config: SimConfig, run_index: int) -> RunRecord:
     rng = np.random.default_rng([config.seed, run_index])
     out: SimOutput = run(config, rng=rng)
-    matrix = correlation_matrix(out.leverage_series_set())
-    a, b, r = most_correlated_pair(matrix)
-    records = tuple(_growth(bank, out.assets[:, k], out.liabilities[:, k])
-                    for k, bank in enumerate(out.bank_ids))
+    a, b, r = most_correlated_pair(leverage_correlation(out.panel))
+    records = growth_records(out.panel)
     med_lev = float(np.median([g.leverage_growth for g in records]))
     med_ast = float(np.median([g.assets_growth for g in records]))
     return RunRecord(run_index, a, b, r, records, med_lev, med_ast)

@@ -8,8 +8,10 @@ Sweeping rho yields the largest-cluster fraction curve: single linkage,
 one descending sort of the pairs and one union-find pass. Top-M is the
 threshold network at the M-th largest coefficient, so ties are kept.
 
-Constant (zero-variance) series have no defined correlation; their matrix
-entries carry NaN, they are kept as nodes, and they are never linked.
+Constant (zero-variance) series, every value equal to the first, have no
+defined correlation; their matrix entries carry NaN, they are kept as nodes,
+and they are never linked. A series that differs only in its last bits is
+not constant and has a real variance.
 """
 
 from __future__ import annotations
@@ -21,19 +23,17 @@ from typing import Iterable, Iterator, Literal, Sequence
 
 import numpy as np
 
-from .balance_sheet import LeverageSeries, Panel, _leverage_matrix, filter_complete
+from .balance_sheet import Panel, _leverage_matrix, filter_complete
 
 __all__ = [
     "ClusterCurve",
     "ComponentPartition",
     "CorrelationMatrix",
-    "GridMismatchError",
     "InsufficientPairsError",
     "LeverageNetwork",
     "LinkMode",
     "cluster_curve",
     "components",
-    "correlation_matrix",
     "leverage_correlation",
     "pearson",
     "threshold_network",
@@ -43,19 +43,20 @@ __all__ = [
 LinkMode = Literal["signed", "absolute"]
 
 
-class GridMismatchError(ValueError):
-    """Series handed to the correlation matrix do not share one grid."""
-
-
 class InsufficientPairsError(ValueError):
     """Fewer defined correlation pairs than the construction needs."""
+
+
+# the smallest normal float: a product of sums of squares below it has lost bits
+_TINY = float(np.finfo(np.float64).tiny)
 
 
 def pearson(x: Sequence[float] | np.ndarray, y: Sequence[float] | np.ndarray) -> float:
     """Pearson correlation coefficient of two equal-length series.
 
     Returns NaN (the undefined marker) when either series has zero
-    variance. The result is clipped to [-1, 1].
+    variance: every value equals its first, or its sum of squares about
+    the mean is 0. The result is clipped to [-1, 1].
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -63,13 +64,17 @@ def pearson(x: Sequence[float] | np.ndarray, y: Sequence[float] | np.ndarray) ->
         raise ValueError(f"length mismatch: {x.shape} vs {y.shape}")
     if len(x) < 2:
         raise ValueError(f"need at least 2 points, got {len(x)}")
+    if (x == x[0]).all() or (y == y[0]).all():
+        return math.nan
     xc = x - x.mean()
     yc = y - y.mean()
     sxx = float(np.dot(xc, xc))
     syy = float(np.dot(yc, yc))
     if sxx == 0.0 or syy == 0.0:
         return math.nan
-    r = float(np.dot(xc, yc)) / math.sqrt(sxx * syy)
+    denom = sxx * syy
+    denom = math.sqrt(denom) if _TINY <= denom < math.inf else math.sqrt(sxx) * math.sqrt(syy)
+    r = float(np.dot(xc, yc)) / denom
     return min(1.0, max(-1.0, r))
 
 
@@ -118,18 +123,6 @@ def _pairs(matrix: CorrelationMatrix, mode: LinkMode = "signed") -> tuple[np.nda
     return ii, jj, r, (r if mode == "signed" else np.abs(r))
 
 
-def correlation_matrix(series_set: Sequence[LeverageSeries]) -> CorrelationMatrix:
-    """All-pairs Pearson matrix over leverage series sharing one grid."""
-    if len(series_set) < 2:
-        raise ValueError(f"need at least 2 series, got {len(series_set)}")
-    grid = series_set[0].times
-    for s in series_set[1:]:
-        if not np.array_equal(s.times, grid):
-            raise GridMismatchError(f"series {s.bank_id!r} is not on the common grid")
-    return _correlation(tuple(s.bank_id for s in series_set),
-                        np.vstack([s.values for s in series_set]))
-
-
 def _correlation(bank_ids: tuple[str, ...], X: np.ndarray) -> CorrelationMatrix:
     """Pearson matrix of the rows of the C-contiguous (banks x dates) array X."""
     if len(bank_ids) < 2:
@@ -137,21 +130,29 @@ def _correlation(bank_ids: tuple[str, ...], X: np.ndarray) -> CorrelationMatrix:
     if X.shape[1] < 2:
         raise ValueError("grid too short for correlation (need >= 2 points)")
 
+    # constant before centring: the mean of a constant row carries rounding,
+    # so its centred sum of squares need not be 0
+    flat = (X == X[:, :1]).all(axis=1)
     Xc = X - X.mean(axis=1, keepdims=True)
     sq = np.einsum("ij,ij->i", Xc, Xc)
+    flat |= sq == 0.0
     cross = Xc @ Xc.T
     # mirror the upper triangle so symmetry is exact, not up to BLAS rounding
     iu = np.triu_indices(len(bank_ids), k=1)
     cross[(iu[1], iu[0])] = cross[iu]
-    denom = np.sqrt(np.outer(sq, sq))
+    denom = np.outer(sq, sq)
+    # a product outside the normal range lost its bits: multiply the roots there
+    ii, jj = np.nonzero((denom < _TINY) | (denom == math.inf))
+    np.sqrt(denom, out=denom)
+    root = np.sqrt(sq)
+    denom[ii, jj] = root[ii] * root[jj]
     with np.errstate(invalid="ignore", divide="ignore"):
         vals = cross / denom
     np.clip(vals, -1.0, 1.0, out=vals)
-    vals[sq == 0.0, :] = math.nan
-    vals[:, sq == 0.0] = math.nan
+    vals[flat, :] = math.nan
+    vals[:, flat] = math.nan
     np.fill_diagonal(vals, 1.0)
-    flagged = tuple(compress(bank_ids, sq == 0.0))
-    return CorrelationMatrix(bank_ids, vals, flagged)
+    return CorrelationMatrix(bank_ids, vals, tuple(compress(bank_ids, flat)))
 
 
 def leverage_correlation(panel: Panel) -> CorrelationMatrix:

@@ -36,19 +36,17 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .balance_sheet import LeverageSeries, Panel
+from .balance_sheet import Panel
 
 __all__ = [
     "AdjacencyHistory",
     "ConfigError",
     "LoanRecord",
-    "SimBank",
     "SimConfig",
     "SimEvent",
     "SimOutput",
     "SimState",
     "apply_shock",
-    "bank_label",
     "grant_loan",
     "init",
     "run",
@@ -124,28 +122,6 @@ class SimConfig:
 
 
 @dataclass(frozen=True)
-class SimBank:
-    """Read-only snapshot of one bank's balance sheet."""
-
-    liquidity: float
-    illiquid: float
-    corporate_loans: float
-    interbank_claims: float
-    deposits: float
-    interbank_debt: float
-    equity: float
-    deposit_weight: float
-
-    @property
-    def assets(self) -> float:
-        return self.liquidity + self.illiquid + self.corporate_loans + self.interbank_claims
-
-    @property
-    def liabilities(self) -> float:
-        return self.deposits + self.interbank_debt
-
-
-@dataclass(frozen=True)
 class LoanRecord:
     """One corporate loan: who originated it, who (if anyone) funded the gap."""
 
@@ -206,12 +182,6 @@ class SimState:
         self.due: dict[int, list[LoanRecord]] = {}
         self.adjacency: list[list[tuple[int, int, float]]] = [[]]
         self.events: list[SimEvent] = []
-
-    def bank(self, i: int) -> SimBank:
-        return SimBank(float(self.liquidity[i]), float(self.illiquid[i]),
-                       float(self.corporate[i]), float(self.ib_claims[i]),
-                       float(self.deposits[i]), float(self.ib_debt[i]),
-                       float(self.equity[i]), float(self.deposit_weight[i]))
 
     @property
     def assets(self) -> np.ndarray:
@@ -368,7 +338,9 @@ class SimOutput:
     ``assets``, ``liabilities`` and ``leverage`` have shape
     (n_periods + 1, n_banks): row t is the state after period t, row 0 the
     initial system. The panel wraps the same ``assets`` and ``liabilities``
-    arrays, which are therefore read-only.
+    arrays, which are therefore read-only. ``leverage`` is liabilities over
+    the model's equity and feeds only the mean-leverage traces; networks and
+    growth records take leverage from the panel, as they do for a file.
     """
 
     config: SimConfig
@@ -379,11 +351,6 @@ class SimOutput:
     panel: Panel
     adjacency: AdjacencyHistory
     events: tuple[SimEvent, ...]
-
-    def leverage_series_set(self) -> list[LeverageSeries]:
-        times = self.panel.grid
-        return [LeverageSeries(bid, times, self.leverage[:, k])
-                for k, bid in enumerate(self.bank_ids)]
 
     @property
     def mean_leverage(self) -> np.ndarray:

@@ -2,11 +2,62 @@
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from typing import Iterable
+
 import numpy as np
 import pytest
 
-from levnet.balance_sheet import BankSeries, Panel
+from levnet.balance_sheet import Panel
 from levnet.network import CorrelationMatrix
+
+
+@dataclass(frozen=True, eq=False)
+class BankSeries:
+    """One bank's observations, the per-bank form tests build panels from."""
+
+    bank_id: str
+    times: np.ndarray
+    assets: np.ndarray
+    liabilities: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.times)
+
+
+def from_observations(bank_id: str,
+                      observations: Iterable[tuple[int, float, float]]) -> BankSeries:
+    """A bank series from (time, assets, liabilities) rows, sorted by time."""
+    obs = sorted(observations)
+    return BankSeries(bank_id, np.array([o[0] for o in obs], dtype=np.int64),
+                      np.array([o[1] for o in obs], dtype=np.float64),
+                      np.array([o[2] for o in obs], dtype=np.float64))
+
+
+def panel_from_members(label: str, members: Iterable[BankSeries],
+                       grid_labels: Iterable[str] | None = None) -> Panel:
+    """The panel of the given banks, on the union of their times; the panel
+    checks every observation against the balance-sheet rules."""
+    members = sorted(members, key=lambda m: m.bank_id)
+    ids = [m.bank_id for m in members]
+    if len(set(ids)) != len(ids):
+        raise ValueError(f"duplicate bank ids in panel {label!r}")
+    grid = np.unique(np.concatenate([m.times for m in members]))
+    assets = np.full((len(grid), len(members)), np.nan)
+    liab = np.full_like(assets, np.nan)
+    for k, m in enumerate(members):
+        rows = np.searchsorted(grid, m.times)
+        assets[rows, k], liab[rows, k] = m.assets, m.liabilities
+    labels = tuple(grid_labels) if grid_labels is not None else None
+    return Panel(label, tuple(ids), grid, assets, liab, labels)
+
+
+def bank_series(panel: Panel) -> tuple[BankSeries, ...]:
+    """One bank series per column of the panel, from its observed cells."""
+    seen = ~np.isnan(panel.assets)
+    return tuple(BankSeries(bank, panel.grid[rows], panel.assets[rows, k],
+                            panel.liabilities[rows, k])
+                 for k, (bank, rows) in enumerate(zip(panel.bank_ids, seen.T)))
 
 
 def series_from_leverage(bank_id: str, times, leverage) -> BankSeries:
@@ -38,7 +89,7 @@ def argentina_panel() -> Panel:
         members.append(constant_series(f"DEAD{k}", range(0, last + 1), assets=500.0 + k))
     for k, first in enumerate((3, 6, 12)):
         members.append(constant_series(f"BORN{k}", range(first, 24), assets=600.0 + k))
-    return Panel.from_members("argentina-shaped", members, QUARTERS)
+    return panel_from_members("argentina-shaped", members, QUARTERS)
 
 
 @pytest.fixture(scope="session")
@@ -53,7 +104,7 @@ def taiwan_panel() -> Panel:
     for b, off in enumerate(offsets):
         lev = [m + off for m in medians]
         members.append(series_from_leverage(f"TW{b:02d}", range(n_dates), lev))
-    return Panel.from_members("taiwan-shaped", members)
+    return panel_from_members("taiwan-shaped", members)
 
 
 @pytest.fixture(scope="session")
@@ -80,7 +131,7 @@ def modular_panel() -> Panel:
     for b in range(41):
         lev = 5.0 + 0.8 * rng.standard_normal(len(t))
         members.append(series_from_leverage(f"NSE{b:02d}", range(len(t)), np.clip(lev, 0.5, None)))
-    return Panel.from_members("modular", members)
+    return panel_from_members("modular", members)
 
 
 SIX_BANK_IDS = ("A", "B", "C", "D", "E", "F")

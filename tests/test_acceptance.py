@@ -12,14 +12,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from levnet.balance_sheet import census, leverage_of
+from levnet.balance_sheet import Panel, _leverage_matrix, census
 from levnet.cli import IngestSpec, ingest_panel, write_panel_csv
 from levnet.growth import replication_study
 from levnet.network import (
     LeverageNetwork,
     cluster_curve,
     components,
-    correlation_matrix,
+    leverage_correlation,
     threshold_network,
     top_m_network,
 )
@@ -45,8 +45,7 @@ def default_runs():
 
 @pytest.fixture(scope="module")
 def default_matrices(default_runs):
-    return {seed: correlation_matrix(out.leverage_series_set())
-            for seed, out in default_runs.items()}
+    return {seed: leverage_correlation(out.panel) for seed, out in default_runs.items()}
 
 
 @pytest.fixture(scope="module")
@@ -206,14 +205,13 @@ def test_criterion_8_empirical_pipeline_fixtures(tmp_path, argentina_panel):
     round_trip_ok = first.read_bytes() == second.read_bytes()
 
     rng = np.random.default_rng(31)
-    scale_ok = True
-    for _ in range(200):
-        assets = float(rng.uniform(1.0, 1e9))
-        liabilities = assets * float(rng.uniform(0.0, 0.99))
-        c = float(rng.uniform(1e-6, 1e6))
-        base = leverage_of(assets, liabilities)
-        scale_ok &= math.isclose(leverage_of(c * assets, c * liabilities), base,
-                                 rel_tol=1e-12)
+    assets = rng.uniform(1.0, 1e9, (1, 200))
+    liabilities = assets * rng.uniform(0.0, 0.99, (1, 200))
+    c = rng.uniform(1e-6, 1e6, (1, 200))
+    ids = tuple(f"b{k:03d}" for k in range(200))
+    base = _leverage_matrix(Panel("base", ids, [0], assets, liabilities))[:, 0].tolist()
+    scaled = _leverage_matrix(Panel("scaled", ids, [0], c * assets, c * liabilities))[:, 0]
+    scale_ok = all(math.isclose(s, b, rel_tol=1e-12) for s, b in zip(scaled.tolist(), base))
 
     ok = census_ok and round_trip_ok and scale_ok
     report("criterion 8 (empirical pipeline fixtures)", ok,

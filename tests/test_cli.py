@@ -20,10 +20,9 @@ from levnet.cli import (
     read_sim_config,
     write_panel_csv,
 )
-from levnet.balance_sheet import Panel
 from levnet.sim import ConfigError, SimConfig, period_date
 
-from conftest import series_from_leverage
+from conftest import constant_series, panel_from_members, series_from_leverage
 
 WELL_FORMED = """bank_id,date,assets,liabilities
 alpha,2005-03-31,120.0,100.0
@@ -183,6 +182,24 @@ class TestNetworkCommand:
             _, comp, size = line.split(",")
             sizes.setdefault(comp, set()).add(size)
         assert all(len(s) == 1 for s in sizes.values())
+
+
+    def test_planted_constant_banks_are_reported_and_isolated(self, tmp_path):
+        # constant leverage at non-dyadic values, 100 / (100 + i), over 500 dates
+        rng = np.random.default_rng(3)
+        walks = [series_from_leverage(f"W{k}", range(500),
+                                      5.0 + np.cumsum(rng.normal(scale=0.05, size=500)))
+                 for k in range(5)]
+        planted = [constant_series(f"C{i:02d}", range(500), assets=200.0 + i) for i in range(75)]
+        src = tmp_path / "planted.csv"
+        write_panel_csv(panel_from_members("planted", walks + planted), src)
+        out = tmp_path / "net"
+        assert main(["network", "--input", str(src), "--rho", "-1",
+                     "--out-dir", str(out)]) == EXIT_OK
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["zero_variance_banks"] == [m.bank_id for m in planted]
+        assert summary["n_isolated"] == len(planted)
+        assert summary["n_edges"] == 5 * 4 // 2
 
 
 class TestCurveCommand:
@@ -345,7 +362,7 @@ def test_zero_average_degree_summary_is_strict_json(tmp_path, modular_panel):
 def test_bank_ids_that_need_quoting_round_trip(tmp_path):
     ids = ("Banco, SA", 'Caja "Rural"', "plain")
     paths = ([1.0, 2.0, 4.0, 3.0, 5.0], [2.0, 3.0, 5.0, 4.0, 7.0], [5.0, 4.0, 2.0, 3.0, 1.0])
-    panel = Panel.from_members("quoted", [series_from_leverage(b, range(5), lev)
+    panel = panel_from_members("quoted", [series_from_leverage(b, range(5), lev)
                                           for b, lev in zip(ids, paths)])
     src = tmp_path / "p.csv"
     write_panel_csv(panel, src)

@@ -3,20 +3,19 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from levnet.balance_sheet import BankSeries
 from levnet.growth import (
     NoDefinedPairsError,
     ZeroInitialLeverageError,
-    growth_record,
+    growth_records,
     most_correlated_pair,
     replication_study,
 )
 from levnet.network import CorrelationMatrix
 from levnet.sim import SimConfig
 
-from conftest import random_correlation_matrix
+from conftest import BankSeries, from_observations, panel_from_members, random_correlation_matrix
 
 STUDY_CFG = SimConfig(n_banks=10, n_periods=150, seed=21)
 
@@ -58,15 +57,34 @@ class TestMostCorrelatedPair:
         assert most_correlated_pair(m) == ("b", "c", -0.4)
 
 
+def growth_record(series):
+    (record,) = growth_records(panel_from_members("p", [series]))
+    return record
+
+
+def scalar_growth_records(panel):
+    """Bank by bank in Python floats, from the first and last grid points."""
+    records = []
+    for k, bank in enumerate(panel.bank_ids):
+        a0, a1 = float(panel.assets[0, k]), float(panel.assets[-1, k])
+        l0, l1 = float(panel.liabilities[0, k]), float(panel.liabilities[-1, k])
+        lev0, lev1 = l0 / (a0 - l0), l1 / (a1 - l1)
+        if lev0 == 0.0:
+            raise ZeroInitialLeverageError(
+                f"{bank}: initial leverage is zero, growth undefined")
+        records.append((bank, lev1 / lev0, a1 / a0))
+    return records
+
+
 class TestGrowthRecord:
     def test_constant_series(self):
-        s = BankSeries.from_observations("k", [(t, 150.0, 100.0) for t in range(5)])
+        s = from_observations("k", [(t, 150.0, 100.0) for t in range(5)])
         rec = growth_record(s)
         assert rec.leverage_growth == 1.0
         assert rec.assets_growth == 1.0
 
     def test_assets_growth_example(self):
-        s = BankSeries.from_observations(
+        s = from_observations(
             "k", [(0, 10_000.0, 5_000.0), (1, 20_000.0, 9_000.0), (2, 45_000.0, 22_500.0)])
         assert growth_record(s).assets_growth == 4.5
 
@@ -76,25 +94,54 @@ class TestGrowthRecord:
             n = int(rng.integers(2, 20))
             assets = rng.uniform(100.0, 1e6, n)
             liabilities = assets * rng.uniform(0.05, 0.9, n)
-            s = BankSeries("r", np.arange(n), assets, liabilities)
-            rec = growth_record(s)
+            rec = growth_record(BankSeries("r", np.arange(n), assets, liabilities))
             lev = liabilities / (assets - liabilities)
             assert rec.assets_growth == pytest.approx(assets[-1] / assets[0], rel=1e-12)
             assert rec.leverage_growth == pytest.approx(lev[-1] / lev[0], rel=1e-12)
 
     def test_zero_initial_leverage(self):
-        s = BankSeries.from_observations("k", [(0, 100.0, 0.0), (1, 100.0, 50.0)])
-        with pytest.raises(ZeroInitialLeverageError):
+        s = from_observations("k", [(0, 100.0, 0.0), (1, 100.0, 50.0)])
+        with pytest.raises(ZeroInitialLeverageError,
+                           match="^k: initial leverage is zero, growth undefined$"):
             growth_record(s)
 
     @given(scale=st.floats(min_value=1e-6, max_value=1e6))
     def test_currency_scale_invariance(self, scale):
         rows = [(0, 1_000.0, 400.0), (1, 1_600.0, 900.0), (2, 2_500.0, 1_200.0)]
-        base = growth_record(BankSeries.from_observations("k", rows))
-        scaled = growth_record(BankSeries.from_observations(
+        base = growth_record(from_observations("k", rows))
+        scaled = growth_record(from_observations(
             "k", [(t, a * scale, l * scale) for t, a, l in rows]))
         assert scaled.assets_growth == pytest.approx(base.assets_growth, rel=1e-12)
         assert scaled.leverage_growth == pytest.approx(base.leverage_growth, rel=1e-12)
+
+
+@st.composite
+def growth_panels(draw):
+    """A few complete banks over a short grid with random balance sheets;
+    some start or end with zero debt."""
+    n_dates = draw(st.integers(min_value=1, max_value=6))
+    banks = []
+    for k in range(draw(st.integers(min_value=1, max_value=6))):
+        rows = []
+        for t in range(n_dates):
+            assets = draw(st.floats(min_value=1e-3, max_value=1e12))
+            share = draw(st.sampled_from([0.0, 0.5]) | st.floats(min_value=0.0, max_value=0.99))
+            rows.append((t, assets, assets * share))
+        banks.append(from_observations(f"b{k}", rows))
+    return panel_from_members("p", banks)
+
+
+@settings(max_examples=200, deadline=None)
+@given(growth_panels())
+def test_growth_records_match_the_scalar_loop(panel):
+    try:
+        expected = scalar_growth_records(panel)
+    except ZeroInitialLeverageError as exc:
+        with pytest.raises(ZeroInitialLeverageError, match=f"^{exc}$"):
+            growth_records(panel)
+        return
+    assert [(g.bank_id, g.leverage_growth, g.assets_growth)
+            for g in growth_records(panel)] == expected
 
 
 class TestReplicationStudy:

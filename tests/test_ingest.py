@@ -11,6 +11,8 @@ from hypothesis import example, given, settings, strategies as st
 from levnet import cli
 from levnet.cli import IngestError, IngestSpec, ingest_panel
 
+from conftest import bank_series
+
 DATES = ("2005-03-31", "2005-06-30", "2005-09-30", "2005-12-31", "2006-03-31", "2006-06-30")
 IDS = ("a", "b", "Banco, SA", 'Caja "Rural"', "z9", "Z")
 DEFECTS = ("none", "none", "none", "duplicate", "nan", "inf", "-inf",
@@ -76,7 +78,7 @@ def columnar(path, mode):
         return str(exc).replace(str(path), "p.csv")
     c = result.census
     complete = {m.bank_id: (m.assets.tolist(), m.liabilities.tolist())
-                for m in result.complete.members}
+                for m in bank_series(result.complete)}
     assert result.complete.bank_ids == tuple(sorted(complete))
     assert result.complete.grid_labels == result.panel.grid_labels
     return (result.report["dropped"], result.report["gapped_banks"],

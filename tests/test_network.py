@@ -3,25 +3,24 @@ from collections import deque
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from levnet.balance_sheet import Panel, filter_complete, leverage_series
+from levnet.balance_sheet import EmptyPanelWarning, _leverage_matrix, filter_complete
 from levnet.growth import NoDefinedPairsError, most_correlated_pair
 from levnet.network import (
     CorrelationMatrix,
-    GridMismatchError,
     InsufficientPairsError,
     LeverageNetwork,
+    _correlation,
     cluster_curve,
     components,
-    correlation_matrix,
     leverage_correlation,
     pearson,
     threshold_network,
     top_m_network,
 )
 
-from conftest import random_correlation_matrix, series_from_leverage
+from conftest import panel_from_members, random_correlation_matrix, series_from_leverage
 
 
 def pearson_oracle(x, y):
@@ -89,8 +88,9 @@ class TestPearson:
         with pytest.raises(ValueError):
             pearson([1.0], [2.0])
 
-    @given(st.lists(st.floats(min_value=-1e6, max_value=1e6), min_size=2, max_size=30),
-           st.integers(min_value=0, max_value=2 ** 32 - 1))
+    @given(x=st.lists(st.floats(min_value=-1e6, max_value=1e6), min_size=2, max_size=30),
+           seed=st.integers(min_value=0, max_value=2 ** 32 - 1))
+    @example(x=[0.0, 9.04e-162], seed=0)
     def test_symmetry_exact(self, x, seed):
         y = np.random.default_rng(seed).normal(size=len(x)).tolist()
         assert pearson(x, y) == pearson(y, x) or (
@@ -107,7 +107,11 @@ class TestPearson:
 
 
 def lev(bank_id, times, values):
-    return leverage_series(series_from_leverage(bank_id, times, values))
+    return series_from_leverage(bank_id, times, values)
+
+
+def correlation_matrix(series):
+    return leverage_correlation(panel_from_members("p", series))
 
 
 class TestCorrelationMatrix:
@@ -136,22 +140,100 @@ class TestCorrelationMatrix:
 
     def test_matches_scalar_pearson(self):
         rng = np.random.default_rng(17)
-        series = [lev(f"b{i}", range(12), rng.uniform(0.5, 9.0, 12)) for i in range(6)]
-        m = correlation_matrix(series)
+        panel = panel_from_members("p", [lev(f"b{i}", range(12), rng.uniform(0.5, 9.0, 12))
+                                         for i in range(6)])
+        m = leverage_correlation(panel)
+        rows = _leverage_matrix(panel)
         for i in range(6):
             for j in range(i + 1, 6):
-                assert m.entry(i, j) == pytest.approx(
-                    pearson(series[i].values, series[j].values), abs=1e-12)
+                assert m.entry(i, j) == pytest.approx(pearson(rows[i], rows[j]), abs=1e-12)
 
     def test_grid_mismatch(self):
+        # banks on shifted grids share no complete span: nothing to correlate
         a = lev("a", range(4), [1.0, 2.0, 3.0, 4.0])
         b = lev("b", range(1, 5), [1.0, 2.0, 3.0, 4.0])
-        with pytest.raises(GridMismatchError):
+        with pytest.warns(EmptyPanelWarning), pytest.raises(ValueError):
             correlation_matrix([a, b])
 
     def test_needs_two_banks(self):
         with pytest.raises(ValueError):
             correlation_matrix([lev("a", range(3), [1.0, 2.0, 3.0])])
+
+
+@st.composite
+def constant_and_walk_rows(draw):
+    """Long constant rows at non-dyadic values mixed with random walks, in a
+    random order; returns the (banks x dates) rows and which are constant."""
+    n_dates = draw(st.sampled_from([2, 3, 24, 61, 500, 5001]))
+    levels = draw(st.lists(st.integers(min_value=1, max_value=10 ** 6).map(lambda k: k / 1000)
+                           | st.floats(min_value=0.05, max_value=50.0),
+                           max_size=8))
+    n_walks = draw(st.integers(min_value=0 if len(levels) >= 2 else 2 - len(levels),
+                               max_value=5))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2 ** 32 - 1)))
+    walks = 5.0 + np.cumsum(rng.normal(scale=0.1, size=(n_walks, n_dates)), axis=1)
+    rows = np.vstack([np.repeat(np.array(levels, dtype=np.float64)[:, None], n_dates, axis=1),
+                      walks])
+    order = rng.permutation(len(rows))
+    constant = np.arange(len(rows)) < len(levels)
+    return np.ascontiguousarray(rows[order]), constant[order]
+
+
+class TestConstantBanks:
+    @settings(max_examples=100, deadline=None)
+    @given(constant_and_walk_rows())
+    def test_constant_rows_are_flagged_and_never_linked(self, case):
+        X, constant = case
+        ids = tuple(f"N{i:02d}" for i in range(len(X)))
+        m = _correlation(ids, X)
+        assert m.zero_variance == tuple(b for b, c in zip(ids, constant) if c)
+        off = ~np.eye(len(ids), dtype=bool)
+        undefined = np.isnan(m.values)
+        assert (undefined[off] == (constant[:, None] | constant[None, :])[off]).all()
+        assert (np.diag(m.values) == 1.0).all()
+        for i, j, r in m.defined_pairs():
+            assert r == pytest.approx(pearson(X[i], X[j]), abs=1e-12)
+        for net in (threshold_network(m, -1.0), threshold_network(m, 0.0, "absolute")):
+            assert not any(constant[i] or constant[j] for i, j, _ in net.edges)
+            part = components(net)
+            assert all(part.sizes[part.assignment[k]] == 1 for k in np.flatnonzero(constant))
+        assert all(math.isnan(pearson(X[k], X[0 if k else 1])) for k in np.flatnonzero(constant))
+
+    def test_constant_row_whose_centred_sum_is_not_zero(self):
+        x = np.full(5001, 5.1)
+        xc = x - x.mean()
+        assert np.dot(xc, xc) != 0.0  # the case a sum-of-squares test alone misses
+        walk = np.cumsum(np.random.default_rng(0).normal(size=5001))
+        m = _correlation(("a", "b", "c"), np.vstack([x, walk, x + 1.0]))
+        assert m.zero_variance == ("a", "c")
+        assert math.isnan(m.entry(0, 2)) and math.isnan(pearson(x, walk))
+
+    def test_row_differing_in_last_bits_has_variance(self):
+        x = np.full(5001, 5.1)
+        x[17] = np.nextafter(5.1, 6.0)
+        walk = np.cumsum(np.random.default_rng(0).normal(size=5001))
+        m = _correlation(("a", "b"), np.vstack([x, walk]))
+        assert m.zero_variance == ()
+        assert m.entry(0, 1) == pytest.approx(pearson(x, walk), abs=1e-12)
+
+    def test_underflowing_product_keeps_the_pair_defined(self):
+        x = [0.0, 9.04e-162]
+        y = np.random.default_rng(0).normal(size=2)
+        m = _correlation(("x", "y"), np.array([x, y]))
+        assert m.zero_variance == ()
+        assert m.entry(0, 1) == pearson(x, y) == pearson(y, x)
+        # two points always correlate perfectly
+        assert abs(m.entry(0, 1)) == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("scale", [1e-20, 1e-9])
+    def test_product_below_the_normal_range_keeps_its_bits(self, scale):
+        # both sums of squares are normal floats, their product is 0 (1e-20)
+        # or subnormal (1e-9): the coefficient is that of the rescaled rows
+        rng = np.random.default_rng(4)
+        x, y = rng.normal(size=(2, 6))
+        m = _correlation(("x", "y"), np.array([x * 1e-150, y * scale]))
+        assert m.entry(0, 1) == pytest.approx(pearson(x, y), abs=1e-12)
+        assert pearson(x * 1e-150, y * scale) == pytest.approx(pearson(x, y), abs=1e-12)
 
 
 class TestThresholdNetwork:

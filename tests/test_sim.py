@@ -16,6 +16,8 @@ from levnet.sim import (
     step,
 )
 
+from conftest import bank_series
+
 SMALL = SimConfig(n_banks=12, n_periods=300, seed=7)
 
 
@@ -82,12 +84,11 @@ class TestInit:
                         equity_ratio_range=(0.2, 0.2), liquidity_share=0.2,
                         deposit_bank_count=1)
         state, _ = fresh_state(cfg)
-        bank = state.bank(0)
-        assert bank.equity == 2_000.0
-        assert bank.liquidity == 2_000.0
-        assert bank.illiquid == 8_000.0
-        assert bank.deposits == 8_000.0
-        assert bank.corporate_loans == bank.interbank_claims == bank.interbank_debt == 0.0
+        assert state.equity[0] == 2_000.0
+        assert state.liquidity[0] == 2_000.0
+        assert state.illiquid[0] == 8_000.0
+        assert state.deposits[0] == 8_000.0
+        assert state.corporate[0] == state.ib_claims[0] == state.ib_debt[0] == 0.0
 
     def test_sampler_statistics(self):
         cfg = SimConfig(n_banks=10_000)
@@ -273,7 +274,7 @@ class TestRun:
         out = run(replace(SMALL, n_periods=0))
         assert out.assets.shape == (1, SMALL.n_banks)
         assert len(out.panel.grid) == 1
-        assert all(len(m) == 1 for m in out.panel.members)
+        assert all(len(m) == 1 for m in bank_series(out.panel))
 
     def test_deterministic_bit_identical(self):
         a = run(SMALL)
@@ -292,7 +293,7 @@ class TestRun:
     def test_panel_matches_arrays_and_is_complete(self):
         out = run(SMALL)
         assert out.panel.bank_ids == out.bank_ids
-        for k, m in enumerate(out.panel.members):
+        for k, m in enumerate(bank_series(out.panel)):
             assert np.array_equal(m.assets, out.assets[:, k])
             assert np.array_equal(m.liabilities, out.liabilities[:, k])
             assert len(m) == SMALL.n_periods + 1
