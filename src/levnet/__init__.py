@@ -41,19 +41,13 @@ from .network import (
     top_m_network,
 )
 from .sim import (
-    AdjacencyHistory,
+    EVENT_KINDS,
     ConfigError,
-    LoanRecord,
+    EventLog,
+    LinkLog,
     SimConfig,
-    SimEvent,
     SimOutput,
-    SimState,
-    apply_shock,
-    grant_loan,
-    init,
     run,
-    settle_repayments,
-    step,
 )
 
 __version__ = "0.1.0"

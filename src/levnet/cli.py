@@ -30,7 +30,7 @@ import numpy as np
 from . import balance_sheet as bs
 from . import network as net
 from .growth import ReplicationStudy, replication_study
-from .sim import ConfigError, SimConfig, SimOutput, period_date, run
+from .sim import EVENT_KINDS, ConfigError, SimConfig, SimOutput, period_date, run
 
 __all__ = [
     "EXIT_COMPUTE", "EXIT_IO", "EXIT_OK", "EXIT_VALIDATION",
@@ -340,7 +340,7 @@ def ingest_panel(spec: IngestSpec) -> IngestResult:
                      a_mat[:, valid], l_mat[:, valid], labels)
     complete = bs.filter_complete(panel)
     report = {
-        "input": str(path),
+        "input": path.name,
         "mode": spec.mode,
         "n_rows": int(count.sum()),
         "n_banks_read": len(ids),
@@ -587,25 +587,27 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     write_panel_csv(output.panel, out / "panel.csv")
+    ids, links, events = output.bank_ids, output.adjacency, output.events
     with _atomic_write(out / "adjacency.csv") as fh:
         fh.write("period,lender_id,borrower_id,amount\n")
-        for t, lender, borrower, amount in output.adjacency:
-            fh.write(f"{t},{output.bank_ids[lender]},{output.bank_ids[borrower]},{_fmt(amount)}\n")
+        for t, a, b, x in zip(links.period, links.lender, links.borrower, links.amount):
+            fh.write(f"{t},{ids[a]},{ids[b]},{_fmt(x)}\n")
+    # a counterparty of -1 (none) picks the empty name at the end
+    names = (*ids, "")
     with _atomic_write(out / "events.csv") as fh:
         fh.write("period,event,bank_a,bank_b,amount\n")
-        for ev in output.events:
-            other = output.bank_ids[ev.counterparty] if ev.counterparty is not None else ""
-            fh.write(f"{ev.period},{ev.kind},{output.bank_ids[ev.bank]},{other},{_fmt(ev.amount)}\n")
+        for t, k, a, b, x in zip(events.period, events.kind, events.bank,
+                                 events.counterparty, events.amount):
+            fh.write(f"{t},{EVENT_KINDS[k]},{ids[a]},{names[b]},{_fmt(x)}\n")
     tail = min(1000, config.n_periods)
-    kinds = [e.kind for e in output.events]
     _write_json({"seed": config.seed, "n_banks": config.n_banks,
                  "n_periods": config.n_periods,
                  "mean_leverage_final": float(output.mean_leverage[-1]),
                  "mean_leverage_tail": float(output.mean_leverage[-(tail + 1):].mean()),
                  "assets_growth": output.assets_growth,
-                 "n_loans": kinds.count("loan"),
-                 "n_failed_loans": kinds.count("loan_failed"),
-                 "n_shocks": kinds.count("shock"),
+                 "n_loans": events.count("loan"),
+                 "n_failed_loans": events.count("loan_failed"),
+                 "n_shocks": events.count("shock"),
                  "n_interbank_links": output.adjacency.total_links},
                 out / "summary.json")
     print(f"simulated {config.n_banks} banks x {config.n_periods} periods "
@@ -621,6 +623,17 @@ def cmd_study(args: argparse.Namespace) -> int:
     write_study_csv(study, out)
     print(f"study: {study.runs} replications -> {out}")
     return EXIT_OK
+
+
+def _positive_int(text: str) -> int:
+    """An argparse type: a count of at least 1, or a usage error (exit 2)."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -663,7 +676,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("study", help="most-correlated-pair growth across replications")
-    p.add_argument("--runs", type=int, required=True)
+    p.add_argument("--runs", type=_positive_int, required=True)
     p.add_argument("--out", required=True)
     _add_config_flags(p)
     p.set_defaults(func=cmd_study)

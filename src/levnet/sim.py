@@ -31,27 +31,21 @@ from __future__ import annotations
 
 import datetime
 import functools
+from array import array
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple
 
 import numpy as np
 
 from .balance_sheet import Panel
 
 __all__ = [
-    "AdjacencyHistory",
+    "EVENT_KINDS",
     "ConfigError",
-    "LoanRecord",
+    "EventLog",
+    "LinkLog",
     "SimConfig",
-    "SimEvent",
     "SimOutput",
-    "SimState",
-    "apply_shock",
-    "grant_loan",
-    "init",
     "run",
-    "settle_repayments",
-    "step",
 ]
 
 
@@ -121,209 +115,42 @@ class SimConfig:
             raise ConfigError(f"seed must be a nonnegative integer, got {c.seed}")
 
 
-@dataclass(frozen=True)
-class LoanRecord:
-    """One corporate loan: who originated it, who (if anyone) funded the gap."""
-
-    originator: int
-    lender: int | None
-    corporate_amount: float
-    borrowed_amount: float
-    origination: int
-    due: int
-
-
-class SimEvent(NamedTuple):
-    period: int
-    kind: str  # loan | loan_failed | shock | repayment
-    bank: int
-    counterparty: int | None
-    amount: float
+EVENT_KINDS = ("loan", "loan_failed", "shock", "repayment")
+_LOAN, _LOAN_FAILED, _SHOCK, _REPAYMENT = range(len(EVENT_KINDS))
 
 
 @dataclass(frozen=True)
-class AdjacencyHistory:
-    """Directed interbank links per period: links[t] lists (lender, borrower, amount)."""
+class EventLog:
+    """Every event of a run, one column per field, in the order they happened.
 
-    links: tuple[tuple[tuple[int, int, float], ...], ...]
+    ``kind`` indexes ``EVENT_KINDS``. ``counterparty`` is the interbank
+    lender of a loan or repayment and -1 where there is none. ``amount`` is
+    the loan size, or the shock's drain after clipping.
+    """
 
-    def __iter__(self) -> Iterator[tuple[int, int, int, float]]:
-        for t, period_links in enumerate(self.links):
-            for lender, borrower, amount in period_links:
-                yield t, lender, borrower, amount
+    period: array
+    kind: array
+    bank: array
+    counterparty: array
+    amount: array
+
+    def count(self, kind: str) -> int:
+        return self.kind.count(EVENT_KINDS.index(kind))
+
+
+@dataclass(frozen=True)
+class LinkLog:
+    """Directed interbank links in period order: ``lender`` lent ``amount``
+    to ``borrower`` in ``period``."""
+
+    period: array
+    lender: array
+    borrower: array
+    amount: array
 
     @property
     def total_links(self) -> int:
-        return sum(len(p) for p in self.links)
-
-
-class SimState:
-    """Mutable working state of a single run."""
-
-    __slots__ = ("config", "period", "liquidity", "illiquid", "corporate",
-                 "ib_claims", "deposits", "ib_debt", "equity", "deposit_weight",
-                 "n_corporate", "n_claims", "n_debts", "due", "adjacency", "events")
-
-    def __init__(self, config: SimConfig):
-        n = config.n_banks
-        self.config = config
-        self.period = 0
-        self.liquidity = np.zeros(n)
-        self.illiquid = np.zeros(n)
-        self.corporate = np.zeros(n)
-        self.ib_claims = np.zeros(n)
-        self.deposits = np.zeros(n)
-        self.ib_debt = np.zeros(n)
-        self.equity = np.zeros(n)
-        self.deposit_weight = np.zeros(n)
-        self.n_corporate = np.zeros(n, dtype=np.int64)
-        self.n_claims = np.zeros(n, dtype=np.int64)
-        self.n_debts = np.zeros(n, dtype=np.int64)
-        self.due: dict[int, list[LoanRecord]] = {}
-        self.adjacency: list[list[tuple[int, int, float]]] = [[]]
-        self.events: list[SimEvent] = []
-
-    @property
-    def assets(self) -> np.ndarray:
-        return self.liquidity + self.illiquid + self.corporate + self.ib_claims
-
-    @property
-    def liabilities(self) -> np.ndarray:
-        return self.deposits + self.ib_debt
-
-
-def init(config: SimConfig, rng: np.random.Generator) -> SimState:
-    """Draw the initial banking system.
-
-    Per bank: assets uniform over ``assets_range``; equity a uniform share
-    of assets from ``equity_ratio_range``; liquidity a fixed
-    ``liquidity_share`` of assets, the rest illiquid; deposits fill the
-    liability side; and a fixed deposit weight uniform on (0, 1). No loans
-    are outstanding yet. Draw order: assets, equity ratios, weights.
-    """
-    config.validate()
-    state = SimState(config)
-    n = config.n_banks
-    assets0 = rng.uniform(config.assets_range[0], config.assets_range[1], n)
-    ratios = rng.uniform(config.equity_ratio_range[0], config.equity_ratio_range[1], n)
-    state.deposit_weight[:] = rng.uniform(0.0, 1.0, n)
-    state.equity[:] = ratios * assets0
-    state.liquidity[:] = config.liquidity_share * assets0
-    state.illiquid[:] = assets0 - state.liquidity
-    state.deposits[:] = assets0 - state.equity
-    return state
-
-
-def settle_repayments(state: SimState, period: int) -> SimState:
-    """Repay every loan due at ``period``; funds arrive from outside the system."""
-    cfg = state.config
-    for rec in state.due.pop(period, ()):  # insertion order = origination order
-        i = rec.originator
-        loan, b = rec.corporate_amount, rec.borrowed_amount
-        state.liquidity[i] += loan * (1.0 + cfg.r_corporate)
-        state.corporate[i] -= loan
-        state.n_corporate[i] -= 1
-        if state.n_corporate[i] == 0:
-            state.corporate[i] = 0.0  # clear float residue once nothing is outstanding
-        if rec.lender is not None:
-            j = rec.lender
-            payback = b * (1.0 + cfg.r_interbank)
-            state.liquidity[i] -= payback
-            state.ib_debt[i] -= b
-            state.n_debts[i] -= 1
-            if state.n_debts[i] == 0:
-                state.ib_debt[i] = 0.0
-            state.equity[i] += loan * cfg.r_corporate - b * cfg.r_interbank
-            state.liquidity[j] += payback
-            state.ib_claims[j] -= b
-            state.n_claims[j] -= 1
-            if state.n_claims[j] == 0:
-                state.ib_claims[j] = 0.0
-            state.equity[j] += b * cfg.r_interbank
-        else:
-            state.equity[i] += loan * cfg.r_corporate
-        state.events.append(SimEvent(period, "repayment", i, rec.lender, loan))
-    return state
-
-
-def grant_loan(state: SimState, rng: np.random.Generator) -> LoanRecord | None:
-    """Process one corporate loan request; returns the record, or None if it failed.
-
-    The originator is uniform over all banks. If its liquidity falls short
-    of loan_size it contributes everything it has and seeks the whole
-    shortfall from a single other bank, trying candidates in uniform random
-    order; when no candidate can cover the shortfall the request fails and
-    the state is left untouched.
-    """
-    cfg = state.config
-    n = cfg.n_banks
-    loan = cfg.loan_size
-    t = state.period
-    i = int(rng.integers(n))
-
-    lender: int | None = None
-    borrowed = 0.0
-    own = float(state.liquidity[i])
-    if own >= loan:
-        state.liquidity[i] = own - loan
-    else:
-        shortfall = loan - own
-        for c in rng.permutation(n - 1):
-            j = int(c) if c < i else int(c) + 1
-            if state.liquidity[j] >= shortfall:
-                lender = j
-                break
-        if lender is None:
-            state.events.append(SimEvent(t, "loan_failed", i, None, loan))
-            return None
-        borrowed = shortfall
-        state.liquidity[i] = 0.0
-        state.liquidity[lender] -= borrowed
-        state.ib_claims[lender] += borrowed
-        state.n_claims[lender] += 1
-        state.ib_debt[i] += borrowed
-        state.n_debts[i] += 1
-
-    state.corporate[i] += loan
-    state.n_corporate[i] += 1
-
-    # the loan returns to the system as deposits, split over a few banks
-    recipients = rng.choice(n, size=cfg.deposit_bank_count, replace=False)
-    w = state.deposit_weight[recipients]
-    inflow = loan * (w / w.sum())
-    state.liquidity[recipients] += inflow
-    state.deposits[recipients] += inflow
-
-    rec = LoanRecord(i, lender, loan, borrowed, t, t + cfg.maturity)
-    state.due.setdefault(rec.due, []).append(rec)
-    if borrowed > 0.0:
-        state.adjacency[t].append((lender, i, borrowed))
-    state.events.append(SimEvent(t, "loan", i, lender, loan))
-    return rec
-
-
-def apply_shock(state: SimState, rng: np.random.Generator) -> SimState:
-    """Drain deposits and liquidity from one random bank, clipped at zero."""
-    cfg = state.config
-    k = int(rng.integers(cfg.n_banks))
-    amount = min(cfg.shock_factor * cfg.loan_size,
-                 float(state.liquidity[k]), float(state.deposits[k]))
-    state.liquidity[k] -= amount
-    state.deposits[k] -= amount
-    state.events.append(SimEvent(state.period, "shock", k, None, amount))
-    return state
-
-
-def step(state: SimState, rng: np.random.Generator) -> SimState:
-    """Advance one period: repayments, then arrivals, then a possible shock."""
-    state.period += 1
-    state.adjacency.append([])
-    settle_repayments(state, state.period)
-    for _ in range(int(rng.poisson(state.config.arrival_rate))):
-        grant_loan(state, rng)
-    if rng.random() < state.config.shock_probability:
-        apply_shock(state, rng)
-    return state
+        return len(self.period)
 
 
 def bank_label(i: int, n_banks: int) -> str:
@@ -349,8 +176,8 @@ class SimOutput:
     liabilities: np.ndarray
     leverage: np.ndarray
     panel: Panel
-    adjacency: AdjacencyHistory
-    events: tuple[SimEvent, ...]
+    adjacency: LinkLog
+    events: EventLog
 
     @property
     def mean_leverage(self) -> np.ndarray:
@@ -381,25 +208,156 @@ def run(config: SimConfig, rng: np.random.Generator | None = None) -> SimOutput:
 
     With the default ``rng=None`` the stream is ``default_rng(config.seed)``,
     so identical configs give bit-identical outputs.
+
+    The balance sheet lives in Python lists of floats during the run. Each
+    period appends the banks it touched, with their assets, liabilities and
+    equity, to a change log; at the end one forward fill over the log gives
+    every bank's row for every period. Draw order: initial assets, equity
+    ratios and deposit weights (``uniform``); then per period the arrival
+    count (``poisson``), per request its originator (``integers``), the
+    order of candidate lenders if it needs one (``permutation``) and, once
+    granted, the deposit recipients (``choice``); then the shock draw
+    (``random``) and, if it hits, its bank (``integers``).
     """
     config.validate()
     if rng is None:
         rng = np.random.default_rng(config.seed)
-    state = init(config, rng)
     n, t_max = config.n_banks, config.n_periods
+    # per bank: assets uniform over assets_range, equity a uniform share of
+    # them, a fixed liquidity share and the rest illiquid, deposits for the
+    # rest of the liability side, and a fixed deposit weight on (0, 1)
+    assets0 = rng.uniform(config.assets_range[0], config.assets_range[1], n)
+    ratios = rng.uniform(config.equity_ratio_range[0], config.equity_ratio_range[1], n)
+    weights = rng.uniform(0.0, 1.0, n)
+    equity0 = ratios * assets0
+    liquidity0 = config.liquidity_share * assets0
+    liq, ill = liquidity0.tolist(), (assets0 - liquidity0).tolist()
+    dep, eq = (assets0 - equity0).tolist(), equity0.tolist()
+    corp, claims, debt = [0.0] * n, [0.0] * n, [0.0] * n
+    n_corp, n_claims, n_debts = [0] * n, [0] * n, [0] * n
+    weight = weights.tolist()
 
-    assets = np.empty((t_max + 1, n))
-    liab = np.empty((t_max + 1, n))
-    equity = np.empty((t_max + 1, n))
-    assets[0], liab[0], equity[0] = state.assets, state.liabilities, state.equity
+    # the change log: period t left bank b with assets a, liabilities l and
+    # equity e; it opens with every bank's initial balance sheet
+    log = []
+    for b in range(n):
+        log += 0, b, liq[b] + ill[b] + corp[b] + claims[b], dep[b] + debt[b], eq[b]
+    events, links = [], []
+    log_extend, event, link = log.extend, events.extend, links.extend
+
+    loan, r_ib, maturity = config.loan_size, config.r_interbank, config.maturity
+    repaid = loan * (1.0 + config.r_corporate)
+    interest = loan * config.r_corporate
+    ib_factor = 1.0 + r_ib
+    drain = config.shock_factor * loan
+    k_deposit = config.deposit_bank_count
+    rate, shock_probability = config.arrival_rate, config.shock_probability
+    integers, permutation, choice = rng.integers, rng.permutation, rng.choice
+    poisson, uniform01 = rng.poisson, rng.random
+    due: dict[int, list[tuple[int, int, float]]] = {}
+
     for t in range(1, t_max + 1):
-        step(state, rng)
-        assets[t], liab[t], equity[t] = state.assets, state.liabilities, state.equity
-    leverage = liab / equity
+        touched = []
+        # 1. repayments, in origination order
+        for i, j, b in due.pop(t, ()):
+            liq[i] += repaid
+            corp[i] -= loan
+            n_corp[i] -= 1
+            if n_corp[i] == 0:
+                corp[i] = 0.0  # clear float residue once nothing is outstanding
+            if j >= 0:
+                payback = b * ib_factor
+                liq[i] -= payback
+                debt[i] -= b
+                n_debts[i] -= 1
+                if n_debts[i] == 0:
+                    debt[i] = 0.0
+                eq[i] += interest - b * r_ib
+                liq[j] += payback
+                claims[j] -= b
+                n_claims[j] -= 1
+                if n_claims[j] == 0:
+                    claims[j] = 0.0
+                eq[j] += b * r_ib
+                touched.append(j)
+            else:
+                eq[i] += interest
+            touched.append(i)
+            event((t, _REPAYMENT, i, j, loan))
+
+        # 2. loan requests
+        for _ in range(int(poisson(rate))):
+            i = int(integers(n))
+            j, borrowed = -1, 0.0
+            own = liq[i]
+            if own >= loan:
+                liq[i] = own - loan
+            else:
+                shortfall = loan - own
+                for c in permutation(n - 1).tolist():
+                    c = c if c < i else c + 1
+                    if liq[c] >= shortfall:
+                        j = c
+                        break
+                else:
+                    event((t, _LOAN_FAILED, i, -1, loan))
+                    continue
+                borrowed = shortfall
+                liq[i] = 0.0
+                liq[j] -= borrowed
+                claims[j] += borrowed
+                n_claims[j] += 1
+                debt[i] += borrowed
+                n_debts[i] += 1
+                touched.append(j)
+                link((t, j, i, borrowed))
+            corp[i] += loan
+            n_corp[i] += 1
+            touched.append(i)
+
+            # the loan returns to the system as deposits, split over a few banks
+            picks = choice(n, size=k_deposit, replace=False)
+            recipients = picks.tolist()
+            total = float(weights[picks].sum())
+            for r in recipients:
+                inflow = loan * (weight[r] / total)
+                liq[r] += inflow
+                dep[r] += inflow
+            touched += recipients
+            due.setdefault(t + maturity, []).append((i, j, borrowed))
+            event((t, _LOAN, i, j, loan))
+
+        # 3. a shock, clipped so neither liquidity nor deposits go negative
+        if uniform01() < shock_probability:
+            s = int(integers(n))
+            amount = min(drain, liq[s], dep[s])
+            liq[s] -= amount
+            dep[s] -= amount
+            touched.append(s)
+            event((t, _SHOCK, s, -1, amount))
+
+        for b in set(touched):
+            log_extend((t, b, liq[b] + ill[b] + corp[b] + claims[b], dep[b] + debt[b], eq[b]))
+
+    # forward fill: each cell takes the bank's latest log entry at or before
+    # its period, found by a running maximum of log positions down each column
+    log_t, log_b, log_a, log_l, log_e = np.array(log).reshape(-1, 5).T
+    latest = np.zeros((t_max + 1, n), dtype=np.int64)
+    latest[log_t.astype(np.int64), log_b.astype(np.int64)] = np.arange(log_t.size)
+    np.maximum.accumulate(latest, axis=0, out=latest)
+    assets = log_a[latest]
+    liab = log_l[latest]
+    leverage = log_e[latest]
+    np.divide(liab, leverage, out=leverage)
 
     ids = tuple(bank_label(i, n) for i in range(n))
-    labels = _period_labels(t_max)
-    panel = Panel(f"sim-seed{config.seed}", ids, np.arange(t_max + 1), assets, liab, labels)
-    adjacency = AdjacencyHistory(tuple(tuple(p) for p in state.adjacency))
+    panel = Panel(f"sim-seed{config.seed}", ids, np.arange(t_max + 1), assets, liab,
+                  _period_labels(t_max))
     return SimOutput(config, ids, assets, liab, leverage, panel,
-                     adjacency, tuple(state.events))
+                     LinkLog(*_columns(links, "qqqd")), EventLog(*_columns(events, "qbqqd")))
+
+
+def _columns(flat: list, codes: str) -> list[array]:
+    """Split a flat list of fixed-width records into one array per field."""
+    width = len(codes)
+    return [array(code, flat[k::width]) for k, code in enumerate(codes)]

@@ -124,6 +124,16 @@ class TestIngestCommand:
         rc = main(["ingest", "--input", str(bad), "--out-dir", str(tmp_path / "o")])
         assert rc == EXIT_VALIDATION
 
+    def test_census_does_not_depend_on_the_input_path(self, tmp_path, monkeypatch):
+        (tmp_path / "data").mkdir()
+        src = write(tmp_path / "data", "p.csv", WELL_FORMED)
+        monkeypatch.chdir(tmp_path)
+        assert main(["ingest", "--input", "data/p.csv", "--out-dir", "rel"]) == EXIT_OK
+        assert main(["ingest", "--input", str(src.resolve()), "--out-dir", "abs"]) == EXIT_OK
+        census = Path("rel/census.json").read_bytes()
+        assert Path("abs/census.json").read_bytes() == census
+        assert json.loads(census)["validation"]["input"] == "p.csv"
+
 
 class TestNetworkCommand:
     def test_identical_panel_complete_graph(self, tmp_path):
@@ -301,6 +311,17 @@ class TestStudyCommand:
         main(["study", "--out", str(a)] + args)
         main(["study", "--out", str(b)] + args)
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("flags", [["--runs", "0"], ["--runs", "-3"], ["--runs", "two"]],
+                             ids=" ".join)
+    def test_bad_count_is_a_validation_error(self, tmp_path, capsys, flags):
+        out = tmp_path / "study.csv"
+        args = ["study", "--runs", "2", "--out", str(out), "--n-banks", "6", "--seed", "1"]
+        with pytest.raises(SystemExit) as exc:
+            main(args + flags)
+        assert exc.value.code == EXIT_VALIDATION
+        assert f"argument {flags[0]}" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestConfigFile:
@@ -566,9 +587,29 @@ GOLDEN_SIMULATE = {
         "events.csv": "f722a41e457a9e7d1ce93ca99df38bd959b6da4fb4d40f6ad333c24708e7cc39",
         "summary.json": "6314fb7bd4ee7f8456e1c2e5d2ebbc1bf206fccfe063daab813b61af9cf2b431",
     },
+    # deposits split over 8 and 9 banks, where numpy's sum is not a left fold;
+    # loans fail and need interbank funding
+    ("--n-banks", "12", "--n-periods", "120", "--seed", "4", "--arrival-rate", "2.5",
+     "--deposit-bank-count", "8", "--maturity", "30", "--shock-probability", "0.7"): {
+        "panel.csv": "2760a0a73310ef1ed44bf10500ec7bc1d320459dbe41950c21539d4a7c31875e",
+        "adjacency.csv": "5f328b1bb0a70c2a21e8795fea01b64fca3c4ecc366d9c1b30a2798284130f48",
+        "events.csv": "cadf8f1772fc2daa7502c0fe8341a721d10829fb6807fcaa1a0933ee6ce616cd",
+        "summary.json": "db0b218af66d5d1bab445fc448828de96b7092845af4b5e6ec88ed624a673a12",
+    },
+    ("--n-banks", "12", "--n-periods", "120", "--seed", "4", "--arrival-rate", "2.5",
+     "--deposit-bank-count", "9", "--maturity", "30", "--shock-probability", "0.7"): {
+        "panel.csv": "770aa05d5d8feac13503e74f30b56eeebcb7558aa0f2225b911b2e5741ecdd19",
+        "adjacency.csv": "98f339b9e838e1b4ec78a433ddd1bb1f45422dc6b4c2f8e0cd2d9226d17701bd",
+        "events.csv": "6729aec00769ae458932447fc0e7db6146b512ab0fceae999bc988e3c4428ecb",
+        "summary.json": "d6d3362233660c48771e8e775b73e05df5c1758bbca467493655217eae44d803",
+    },
 }
 STUDY_FLAGS = ["--n-banks", "8", "--n-periods", "60", "--seed", "9"]
 GOLDEN_STUDY = "1871dc91e09806d7c6e4340d93f8ae2f8a07042143b2fcf1187526e012616899"
+# the deposit split over 8 banks, where numpy's sum is not a left fold
+STUDY_FLAGS_K8 = ["--n-banks", "10", "--n-periods", "80", "--seed", "6", "--arrival-rate", "2.5",
+                  "--deposit-bank-count", "8", "--maturity", "30"]
+GOLDEN_STUDY_K8 = "342094bb884a75018457243ad63ba666a7f8dc11f50b4337b95a07dd9780cd85"
 
 
 class TestGoldenDigests:
@@ -650,6 +691,11 @@ class TestGoldenDigests:
         out = tmp_path / "study.csv"
         assert main(["study", "--runs", "3", "--out", str(out), *STUDY_FLAGS]) == EXIT_OK
         assert sha256(out) == GOLDEN_STUDY
+
+    def test_study_deposit_split_over_eight_banks(self, tmp_path):
+        out = tmp_path / "study.csv"
+        assert main(["study", "--runs", "3", "--out", str(out), *STUDY_FLAGS_K8]) == EXIT_OK
+        assert sha256(out) == GOLDEN_STUDY_K8
 
 
 class TestHostileFiles:

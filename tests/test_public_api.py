@@ -23,3 +23,11 @@ def test_package_exports_only_listed_names():
     public = {name for name, value in vars(levnet).items()
               if not name.startswith("_") and not isinstance(value, types.ModuleType)}
     assert public == listed
+
+
+def test_per_period_engine_is_gone():
+    # the scalar engine keeps its state inside run; the per-period API and
+    # its record types live on only as the test oracle, tests/sim_reference.py
+    gone = {"SimState", "SimEvent", "AdjacencyHistory", "LoanRecord", "init", "step",
+            "grant_loan", "apply_shock", "settle_repayments"}
+    assert not gone & set(vars(sim)) and not gone & set(vars(levnet))

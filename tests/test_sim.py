@@ -1,22 +1,29 @@
-from dataclasses import replace
+"""The simulator: config checks, the model's steps on the per-period
+reference engine (``tests/sim_reference.py``), and ``run`` against it."""
+
+from collections import Counter
+from dataclasses import fields, replace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from levnet.sim import (
-    ConfigError,
-    LoanRecord,
-    SimConfig,
-    apply_shock,
-    bank_label,
-    grant_loan,
-    init,
-    run,
-    settle_repayments,
-    step,
-)
+from levnet import growth
+from levnet.cli import EXIT_COMPUTE, EXIT_OK, main, write_study_csv
+from levnet.sim import EVENT_KINDS, ConfigError, SimConfig, bank_label, run
 
 from conftest import bank_series
+from sim_reference import (
+    LoanRecord,
+    apply_shock,
+    grant_loan,
+    init,
+    reference_run,
+    settle_repayments,
+    step,
+    write_simulate_outputs,
+)
 
 SMALL = SimConfig(n_banks=12, n_periods=300, seed=7)
 
@@ -300,13 +307,15 @@ class TestRun:
 
     def test_adjacency_consistent_with_events(self):
         out = run(replace(SMALL, n_periods=500))
-        borrowed = {}
-        for ev in out.events:
-            if ev.kind == "loan" and ev.counterparty is not None:
-                borrowed[ev.period] = borrowed.get(ev.period, 0) + 1
-        assert out.adjacency.total_links == sum(borrowed.values())
-        for t, links in enumerate(out.adjacency.links):
-            assert len(links) == borrowed.get(t, 0)
+        ev, links = out.events, out.adjacency
+        funded = [(t, lender, bank) for t, kind, bank, lender in zip(
+            ev.period, ev.kind, ev.bank, ev.counterparty)
+            if EVENT_KINDS[kind] == "loan" and lender >= 0]
+        assert funded and list(zip(links.period, links.lender, links.borrower)) == funded
+        assert links.total_links == len(funded)
+        assert all(x > 0.0 for x in links.amount)
+        assert Counter(map(EVENT_KINDS.__getitem__, ev.kind)) == {
+            kind: ev.count(kind) for kind in EVENT_KINDS if ev.count(kind)}
 
     def test_leverage_positive_and_finite(self):
         out = run(SMALL)
@@ -329,3 +338,76 @@ def test_bank_labels_sort_numerically():
     assert labels == sorted(labels)
     assert labels[7] == "B07"
     assert bank_label(3, 1000) == "B003"
+
+
+# -- the engine against the per-period reference ---------------------------
+
+
+@st.composite
+def small_configs(draw):
+    """Small configs that reach every branch: deposit splits over 1 to 12
+    banks (numpy sums 8 or more in partial sums), no periods, certain and
+    impossible shocks, busy arrivals that exhaust liquidity, short maturities."""
+    k = draw(st.integers(1, 12))
+    lo = draw(st.floats(1_000.0, 50_000.0))
+    r_ib = draw(st.floats(0.0, 0.05))
+    e_lo = draw(st.floats(0.05, 0.5))
+    return SimConfig(
+        n_banks=draw(st.integers(k + 1, k + 5)),
+        n_periods=draw(st.sampled_from([0, 1]) | st.integers(2, 60)),
+        assets_range=(lo, lo * draw(st.floats(1.0, 10.0))),
+        equity_ratio_range=(e_lo, e_lo + draw(st.floats(0.0, 0.45))),
+        liquidity_share=draw(st.floats(0.05, 0.6)),
+        arrival_rate=draw(st.floats(0.0, 3.0)),
+        loan_size=draw(st.floats(1_000.0, 40_000.0)),
+        r_corporate=r_ib + draw(st.floats(0.001, 0.05)),
+        r_interbank=r_ib,
+        maturity=draw(st.integers(1, 12)),
+        deposit_bank_count=k,
+        shock_probability=draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)),
+        shock_factor=draw(st.floats(0.0, 1.0)),
+        seed=draw(st.integers(0, 2**32)),
+    )
+
+
+def config_flags(config):
+    """CLI flags that parse back to ``config`` exactly (floats through repr)."""
+    flags = []
+    for f in fields(SimConfig):
+        value = getattr(config, f.name)
+        text = ",".join(map(repr, value)) if isinstance(value, tuple) else repr(value)
+        flags += [f"--{f.name.replace('_', '-')}", text]
+    return flags
+
+
+ORACLE_FILES = ("panel.csv", "adjacency.csv", "events.csv", "summary.json")
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@example(config=SimConfig(n_banks=12, n_periods=60, arrival_rate=2.5, deposit_bank_count=8,
+                          maturity=5, seed=4))
+@example(config=SimConfig(n_banks=10, n_periods=0, deposit_bank_count=9, seed=1))
+@given(config=small_configs())
+def test_run_writes_the_reference_engine_bytes(tmp_path_factory, config):
+    """``simulate``'s four files and ``study.csv`` from ``run`` equal, byte for
+    byte, those the per-period reference engine gives for the same config."""
+    directory = tmp_path_factory.mktemp("oracle")
+    flags = config_flags(config)
+    assert main(["simulate", "--out-dir", str(directory / "new"), *flags]) == EXIT_OK
+    write_simulate_outputs(reference_run(config), directory / "reference")
+    for name in ORACLE_FILES:
+        assert (directory / "new" / name).read_bytes() == \
+            (directory / "reference" / name).read_bytes(), name
+
+    # a study needs two banks whose leverage varies; without them both fail
+    study_args = ["study", "--runs", "2", "--out", str(directory / "study.csv"), *flags]
+    try:
+        with mock.patch.object(growth, "run", reference_run):
+            study = growth.replication_study(config, 2)
+    except ValueError:
+        assert main(study_args) == EXIT_COMPUTE
+        return
+    write_study_csv(study, directory / "reference.csv")
+    assert main(study_args) == EXIT_OK
+    assert (directory / "study.csv").read_bytes() == (directory / "reference.csv").read_bytes()
