@@ -23,11 +23,12 @@ from dataclasses import replace
 
 import numpy as np
 
+from levnet.cli import _rho_grid
 from levnet.growth import growth_records, most_correlated_pair
 from levnet.network import cluster_curve, components, leverage_correlation, threshold_network
 from levnet.sim import SimConfig, run
 
-RHO_GRID = [round(k * 0.01, 10) for k in range(101)]
+RHO_GRID = _rho_grid(0.0, 1.0, 0.01)
 
 
 def curve_stats(curve):

@@ -16,14 +16,12 @@ import argparse
 from dataclasses import replace
 from pathlib import Path
 
-from levnet.cli import _atomic_write, read_sim_config, write_curve_csv, write_study_csv
+from levnet.cli import (
+    _atomic_write, _fmt, _rho_grid, read_sim_config, write_curve_csv, write_study_csv,
+)
 from levnet.growth import replication_study
 from levnet.network import cluster_curve, components, leverage_correlation, threshold_network
 from levnet.sim import SimConfig, run
-
-
-def fmt(x) -> str:
-    return repr(float(x))
 
 
 def main() -> None:
@@ -38,7 +36,7 @@ def main() -> None:
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    grid = [round(0.01 * k, 10) for k in range(101)]
+    grid = _rho_grid(0.0, 1.0, 0.01)
     with _atomic_write(out / "mean_traces.csv") as traces, \
             _atomic_write(out / "topology.csv") as topo:
         traces.write("seed,period,mean_assets,mean_leverage\n")
@@ -46,12 +44,12 @@ def main() -> None:
         for seed in range(args.seeds):
             output = run(replace(config, seed=seed))
             for t, (a, l) in enumerate(zip(output.mean_assets, output.mean_leverage)):
-                traces.write(f"{seed},{t},{fmt(a)},{fmt(l)}\n")
+                traces.write(f"{seed},{t},{_fmt(a)},{_fmt(l)}\n")
             matrix = leverage_correlation(output.panel)
             write_curve_csv(cluster_curve(matrix, grid), out / f"curve_seed{seed}.csv")
             net = threshold_network(matrix, 0.8)
             part = components(net)
-            topo.write(f"{seed},{part.n},{net.n_edges},{fmt(part.largest_fraction)},"
+            topo.write(f"{seed},{part.n},{net.n_edges},{_fmt(part.largest_fraction)},"
                        f"{part.n_isolated},{part.n_components}\n")
             print(f"seed {seed}: growth {output.assets_growth:.2f}, "
                   f"final mean leverage {output.mean_leverage[-1]:.2f}, "

@@ -133,35 +133,30 @@ class _Columns:
         self.assets, self.liabilities = array("d"), array("d")
 
 
-def _read_rows(lines, path: Path, picks, cols: _Columns, lineno: int, line_offset: int) -> None:
-    """The csv row loop over ``lines``, whose first row is record ``lineno``
-    after ``line_offset`` physical lines of the file. It reads every file the
-    block reader does not and is the only source of row errors."""
+def _read_rows(reader, path: Path, picks, cols: _Columns) -> None:
+    """The csv row loop: continues ``reader`` past the header. It reads every
+    file the block reader does not and is the only source of row errors."""
     b_col, d_col, a_col, l_col = picks
     bank_code, date_code, days = cols.bank_code, cols.date_code, cols.days
     banks, dates, assets, liabilities = cols.banks, cols.dates, cols.assets, cols.liabilities
-    reader = csv.reader(lines)
-    try:
-        for lineno, row in enumerate(reader, start=lineno):
-            if not row:
-                continue
-            try:
-                bank = row[b_col].strip()
-                day = row[d_col].strip()
-                if day not in date_code:
-                    date_code[day] = len(days)
-                    days.append(datetime.date.fromisoformat(day))
-                a_val, l_val = float(row[a_col]), float(row[l_col])
-            except (IndexError, ValueError) as exc:
-                raise IngestError(f"{path}:{lineno}: malformed row: {exc}") from exc
-            if not bank:
-                raise IngestError(f"{path}:{lineno}: empty bank id")
-            banks.append(bank_code.setdefault(bank, len(bank_code)))
-            dates.append(date_code[day])
-            assets.append(a_val)
-            liabilities.append(l_val)
-    except csv.Error as exc:
-        raise IngestError(f"{path}:{line_offset + reader.line_num}: malformed csv: {exc}") from exc
+    for lineno, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        try:
+            bank = row[b_col].strip()
+            day = row[d_col].strip()
+            if day not in date_code:
+                date_code[day] = len(days)
+                days.append(datetime.date.fromisoformat(day))
+            a_val, l_val = float(row[a_col]), float(row[l_col])
+        except (IndexError, ValueError) as exc:
+            raise IngestError(f"{path}:{lineno}: malformed row: {exc}") from exc
+        if not bank:
+            raise IngestError(f"{path}:{lineno}: empty bank id")
+        banks.append(bank_code.setdefault(bank, len(bank_code)))
+        dates.append(date_code[day])
+        assets.append(a_val)
+        liabilities.append(l_val)
 
 
 def _new_keys(code: dict[str, int], keys: list[str]) -> list[str]:
@@ -173,17 +168,12 @@ def _read_plain(text: str, width: int, picks, cols: _Columns) -> bool:
     """Add the rows of ``text``, whole lines of the file, to ``cols`` a column
     at a time. Returns False and leaves ``cols`` as it was unless the csv row
     loop would read every line the same way and without an error: no quote,
-    NUL or CR but in a CRLF line end, the header's field count on every
-    non-blank line, no line over the csv field size limit, no empty bank id,
-    and every date and value converts."""
-    # csv unquotes, ends lines at a lone CR too and, before Python 3.11,
-    # rejects NUL
-    if '"' in text or "\0" in text:
+    NUL or CR, the header's field count on every non-blank line, no line over
+    the csv field size limit, no empty bank id, and every date and value
+    converts."""
+    # csv unquotes, ends lines at a CR too and, before Python 3.11, rejects NUL
+    if '"' in text or "\0" in text or "\r" in text:
         return False
-    if "\r" in text:
-        if text.count("\r") != text.count("\r\n"):
-            return False
-        text = text.replace("\r\n", "\n")
     lines = text.split("\n")
     limit = csv.field_size_limit()
     if len(text) > limit and max(map(len, lines)) > limit:
@@ -220,59 +210,57 @@ def _read_plain(text: str, width: int, picks, cols: _Columns) -> bool:
     return True
 
 
-def _read_blocks(fh, path: Path, width: int, picks, cols: _Columns,
-                 lineno: int, line_offset: int) -> None:
-    """Convert the file a block of plain lines at a time; from the first block
-    that is not plain on, the row loop reads the rest of the file."""
+def _read_blocks(fh, width: int, picks, cols: _Columns) -> bool:
+    """Convert the rest of the file a block of whole lines at a time. Returns
+    True when every block was plain, and False at the first that is not."""
     carry = ""
     while True:
         chunk = fh.read(_BLOCK_CHARS)
         text = carry + chunk
         cut = text.rfind("\n") + 1 if chunk else len(text)
-        block, carry = text[:cut], text[cut:]
-        if not _read_plain(block, width, picks, cols):
-            # finish the line the block cuts, so that it stays one line, and a
-            # CR before the cut and an LF after it one line end
-            lines = chain(io.StringIO(text + fh.readline(), newline=""), fh)
-            return _read_rows(lines, path, picks, cols, lineno, line_offset)
+        if not _read_plain(text[:cut], width, picks, cols):
+            return False
         if not chunk:
-            return None
-        n_lines = block.count("\n")
-        lineno, line_offset = lineno + n_lines, line_offset + n_lines
+            return True
+        carry = text[cut:]
 
 
 def _read_columns(spec: IngestSpec, path: Path, by_row: bool = False):
     """Read the file into bank and date codes and float values, then scatter
     them into (dates x banks) matrices. Returns the sorted bank ids and
     dates, the row count of every cell, and the assets and liabilities (NaN
-    in cells no row fills). Plain blocks are converted a column at a time;
-    ``by_row`` reads every row with the csv row loop, the reference the
-    tests hold the block reader to."""
+    in cells no row fills). A file whose blocks are all plain is converted a
+    column at a time; any other file is read again from the top with
+    ``by_row``, the csv row loop alone, which is also the reference the tests
+    hold the block reader to."""
     cols = _Columns()
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
             try:
                 header = next(reader, None)
+                if header is None:
+                    raise IngestError(f"{path}: empty file")
+                try:
+                    picks = [header.index(c) for c in (
+                        spec.bank_col, spec.date_col, spec.assets_col, spec.liabilities_col)]
+                except ValueError as exc:
+                    raise IngestError(f"{path}: missing column in header {header}: {exc}") from exc
+                if by_row:
+                    _read_rows(reader, path, picks, cols)
+                elif not _read_blocks(fh, len(header), picks, cols):
+                    cols = None
             except csv.Error as exc:
                 raise IngestError(f"{path}:{reader.line_num}: malformed csv: {exc}") from exc
-            if header is None:
-                raise IngestError(f"{path}: empty file")
-            try:
-                picks = [header.index(c) for c in (
-                    spec.bank_col, spec.date_col, spec.assets_col, spec.liabilities_col)]
-            except ValueError as exc:
-                raise IngestError(f"{path}: missing column in header {header}: {exc}") from exc
-            if by_row:
-                _read_rows(fh, path, picks, cols, 2, reader.line_num)
-            else:
-                _read_blocks(fh, path, len(header), picks, cols, 2, reader.line_num)
     except UnicodeDecodeError as exc:
-        if not by_row:
-            # block reads decode other byte chunks than the row loop's line
-            # reads: the row loop alone finds and words the first error
-            return _read_columns(spec, path, by_row=True)
-        raise IngestError(f"{path}: not UTF-8 text: {exc}") from exc
+        if by_row:
+            raise IngestError(f"{path}: not UTF-8 text: {exc}") from exc
+        # block reads decode other byte chunks than the row loop's line reads:
+        # the row loop alone finds and words the first error
+        cols = None
+    if cols is None:
+        # the partial columns are already dropped: the re-read never holds two
+        return _read_columns(spec, path, by_row=True)
     if not cols.banks:
         raise IngestError(f"{path}: no data rows")
 
@@ -382,9 +370,7 @@ def write_panel_csv(panel: bs.Panel, path: Path) -> None:
             pairs = [f"{a!r},{l!r}\n" for a, l in zip(run_a[lo:hi].tolist(), run_l[lo:hi].tolist())]
             pieces = [_csv_field(bank)] * (3 * n_rows)
             pieces[1::3] = compress(dates, seen[:, k].tolist())
-            # every row its own run, as in a reporting panel: nothing to repeat
-            pieces[2::3] = pairs if n_runs == n_rows else chain.from_iterable(
-                map(repeat, pairs, run_rows[lo:hi].tolist()))
+            pieces[2::3] = chain.from_iterable(map(repeat, pairs, run_rows[lo:hi].tolist()))
             fh.write("".join(pieces))
 
 
@@ -416,13 +402,15 @@ def _write_json(obj: dict, path: Path) -> None:
 
 # -- simulation config file ----------------------------------------------
 
-_TUPLE_FIELDS = ("assets_range", "equity_ratio_range")
+def _kind(name: str) -> type:
+    """int, float or tuple: the type of the SimConfig field's default."""
+    return type(getattr(SimConfig, name))
 
 
 def read_sim_config(path: str | Path, base: SimConfig | None = None) -> SimConfig:
     """Read a flat ``key = value`` file over SimConfig fields; '#' comments."""
     base = base or SimConfig()
-    types = {f.name: f.type for f in fields(SimConfig)}
+    names = {f.name for f in fields(SimConfig)}
     updates = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -432,20 +420,19 @@ def read_sim_config(path: str | Path, base: SimConfig | None = None) -> SimConfi
             if "=" not in line:
                 raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
             key, value = (part.strip() for part in line.split("=", 1))
-            if key not in types:
+            if key not in names:
                 raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
             updates[key] = _parse_config_value(key, value)
     return replace(base, **updates)
 
 
 def _parse_config_value(key: str, value: str):
+    kind = _kind(key)
     try:
-        if key in _TUPLE_FIELDS:
+        if kind is tuple:
             lo, hi = (float(p) for p in value.split(","))
             return (lo, hi)
-        if key in ("n_banks", "n_periods", "maturity", "deposit_bank_count", "seed"):
-            return int(value)
-        return float(value)
+        return kind(value)
     except ValueError as exc:
         raise ConfigError(f"bad value for {key!r}: {value!r}") from exc
 
@@ -454,7 +441,7 @@ def format_sim_config(config: SimConfig) -> str:
     lines = []
     for f in fields(SimConfig):
         v = getattr(config, f.name)
-        if f.name in _TUPLE_FIELDS:
+        if _kind(f.name) is tuple:
             v = f"{_fmt(v[0])}, {_fmt(v[1])}"
         lines.append(f"{f.name} = {v}")
     return "\n".join(lines) + "\n"
@@ -466,7 +453,7 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
         if f.name == "seed":
             continue
         flag = "--" + f.name.replace("_", "-")
-        if f.name in _TUPLE_FIELDS:
+        if _kind(f.name) is tuple:
             p.add_argument(flag, metavar="LOW,HIGH")
         else:
             p.add_argument(flag, type=str)
@@ -557,8 +544,10 @@ def cmd_network(args: argparse.Namespace) -> int:
 def _rho_grid(rho_min: float, rho_max: float, rho_step: float) -> list[float]:
     if not (0.0 <= rho_min < rho_max <= 1.0):
         raise ValueError(f"need 0 <= rho_min < rho_max <= 1, got [{rho_min}, {rho_max}]")
-    if rho_step <= 0:
-        raise ValueError(f"rho_step must be positive, got {rho_step}")
+    # grid points are rounded to 10 decimals: a smaller step, or NaN, never
+    # moves past rho_max
+    if not (math.isfinite(rho_step) and rho_step >= 1e-10):
+        raise ValueError(f"rho_step must be finite and at least 1e-10, got {rho_step}")
     grid = []
     k = 0
     while True:

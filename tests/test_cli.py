@@ -2,6 +2,7 @@ import csv
 import hashlib
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -244,6 +245,15 @@ class TestCurveCommand:
                    "--out", str(tmp_path / "c.csv")])
         assert rc == EXIT_COMPUTE
 
+    @pytest.mark.parametrize("step", ["nan", "1e-300"])
+    def test_step_that_cannot_advance_rejected(self, tmp_path, modular_panel, step):
+        src = tmp_path / "modular.csv"
+        write_panel_csv(modular_panel, src)
+        out = tmp_path / "c.csv"
+        rc = main(["curve", "--input", str(src), "--rho-step", step, "--out", str(out)])
+        assert rc == EXIT_COMPUTE
+        assert not out.exists()
+
 
 SIM_ARGS = ["--n-banks", "10", "--n-periods", "40", "--seed", "5"]
 
@@ -330,9 +340,19 @@ class TestConfigFile:
         assert read_sim_config(path) == SimConfig()
 
     def test_round_trip_through_format(self, tmp_path):
-        cfg = SimConfig(n_banks=33, arrival_rate=0.7, assets_range=(10.0, 20.0), seed=4)
+        cfg = SimConfig(n_banks=33, n_periods=41, assets_range=(10.0, 20.5),
+                        equity_ratio_range=(0.125, 0.25), liquidity_share=0.3,
+                        arrival_rate=0.7, loan_size=11.5, r_corporate=0.05,
+                        r_interbank=0.01, maturity=7, deposit_bank_count=3,
+                        shock_probability=0.5, shock_factor=0.125, seed=4)
+        default = SimConfig()
+        assert all(getattr(cfg, f.name) != getattr(default, f.name) for f in fields(SimConfig))
         path = write(tmp_path, "c.cfg", format_sim_config(cfg))
-        assert read_sim_config(path) == cfg
+        read = read_sim_config(path)
+        assert read == cfg
+        # an int read as a float compares equal: the types must match too
+        assert [type(getattr(read, f.name)) for f in fields(SimConfig)] == [
+            type(getattr(cfg, f.name)) for f in fields(SimConfig)]
 
     def test_flags_override_file(self, tmp_path):
         path = write(tmp_path, "c.cfg", "n_banks = 20\nn_periods = 50\n")

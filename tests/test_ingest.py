@@ -216,6 +216,7 @@ PLAIN_HEAD = b"bank_id,date,assets,liabilities\na,2005-03-31,2,1\nb,2005-03-31,3
 @settings(max_examples=500, deadline=None)
 @example(data=PLAIN_HEAD + b'"q",2005-06-30,2,1\n', block=8, limit=None)
 @example(data=PLAIN_HEAD + b"a,2005-06-30,7\r,1\n", block=8, limit=None)
+@example(data=PLAIN_HEAD + b"a,2005-06-30,2,1\r\nb,2005-06-30,3,1\r\n", block=8, limit=None)
 @example(data=PLAIN_HEAD + b"a,2005-06-30,2\n1,b,2005-06-30,2,1\n", block=1 << 16, limit=None)
 @example(data=PLAIN_HEAD + b",2005-06-30,2,1\n", block=8, limit=None)
 @example(data=PLAIN_HEAD + f"a,2005-06-30,{LONG},1\n".encode(), block=8, limit=48)
@@ -240,17 +241,6 @@ def test_plain_file_never_reaches_the_row_loop(tmp_path, monkeypatch):
     path = tmp_path / "p.csv"
     path.write_text("bank_id,date,assets,liabilities\n\n a ,2005-03-31,2,1\n"
                     "b,2005-03-31 ,nan,1\n\na,2005-06-30,-Infinity,1_0", encoding="utf-8")
-    expected = read_outcome(path, by_row=True)
-    monkeypatch.setattr(cli, "_BLOCK_CHARS", 7)
-    monkeypatch.setattr(cli, "_read_rows", None)
-    assert read_outcome(path, by_row=False) == expected
-    assert expected[0] == ["a", "b"] and expected[2] == (2, 2)
-
-
-def test_crlf_plain_file_never_reaches_the_row_loop(tmp_path, monkeypatch):
-    path = tmp_path / "p.csv"
-    path.write_bytes(b"bank_id,date,assets,liabilities\r\n\r\n a ,2005-03-31,2,1\r\n"
-                     b"b,2005-03-31 ,nan,1\r\n\r\na,2005-06-30,-Infinity,1_0\r\n")
     expected = read_outcome(path, by_row=True)
     monkeypatch.setattr(cli, "_BLOCK_CHARS", 7)
     monkeypatch.setattr(cli, "_read_rows", None)
