@@ -24,7 +24,7 @@ from dataclasses import replace
 import numpy as np
 
 from levnet.cli import _rho_grid
-from levnet.growth import growth_records, most_correlated_pair
+from levnet.growth import run_record
 from levnet.network import cluster_curve, components, leverage_correlation, threshold_network
 from levnet.sim import SimConfig, run
 
@@ -51,12 +51,10 @@ def evaluate(config: SimConfig, seeds: range, mode: str = "signed"):
         matrix = leverage_correlation(out.panel)
         rho_hi, rho_lo, jump_at, jump = curve_stats(cluster_curve(matrix, RHO_GRID, mode))
         part = components(threshold_network(matrix, 0.8, mode))
-        a, b, _ = most_correlated_pair(matrix)
-        recs = {g.bank_id: g for g in growth_records(out.panel)}
-        med_ast = np.median([g.assets_growth for g in recs.values()])
-        med_lev = np.median([g.leverage_growth for g in recs.values()])
-        pair_ast = recs[a].assets_growth > med_ast and recs[b].assets_growth > med_ast
-        pair_lev = recs[a].leverage_growth > med_lev and recs[b].leverage_growth > med_lev
+        rec = run_record(out.panel, seed)
+        pair = rec.pair_records()
+        pair_ast = all(g.assets_growth > rec.median_assets_growth for g in pair)
+        pair_lev = all(g.leverage_growth > rec.median_leverage_growth for g in pair)
         rows.append(dict(seed=seed, tail=float(tail.mean()), slope=float(slope),
                          growth=out.assets_growth, rho_hi=rho_hi, rho_lo=rho_lo,
                          jump_at=jump_at, jump=jump,

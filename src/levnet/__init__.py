@@ -25,6 +25,7 @@ from .growth import (
     growth_records,
     most_correlated_pair,
     replication_study,
+    run_record,
 )
 from .network import (
     ClusterCurve,

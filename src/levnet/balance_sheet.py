@@ -1,13 +1,13 @@
 """Balance-sheet panels and leverage computations.
 
-A bank's record is its total assets and total liabilities sampled on an
-integer time grid. Leverage is liabilities over equity (assets minus
+A bank's record is its total assets and total liabilities sampled on a
+run of dates. Leverage is liabilities over equity (assets minus
 liabilities, at book value), so it is unit-free and comparable across
-countries and currencies. A panel collects many banks on a common grid as
+countries and currencies. A panel collects many banks on common dates as
 two dense (dates x banks) matrices, assets and liabilities, with one column
 per bank in bank-id order and NaN where a bank is not observed. Banks
-appear and disappear, so only *complete* members (an observation at every
-grid point) enter correlation analysis; filtering, the census and the
+appear and disappear, so only *complete* members (an observation on every
+date) enter correlation analysis; filtering, the census and the
 cross-sectional statistics are reductions over those columns.
 """
 
@@ -57,66 +57,58 @@ def _readonly(arr: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Panel:
-    """A labelled (dates x banks) balance-sheet table over a common time grid.
+    """A labelled (dates x banks) balance-sheet table.
 
-    ``assets`` and ``liabilities`` have shape (len(grid), len(bank_ids)):
-    column k is bank ``bank_ids[k]``, columns are in bank-id order, and NaN
-    marks a date on which a bank is not observed. ``grid_labels``
-    optionally keeps the original date strings, one per grid point, so that
-    a panel read from a file can be written back verbatim.
+    ``dates`` holds one date label per row, in order. ``assets`` and
+    ``liabilities`` have shape (len(dates), len(bank_ids)): column k is bank
+    ``bank_ids[k]``, columns are in bank-id order, and NaN marks a date on
+    which a bank is not observed.
     """
 
     label: str
     bank_ids: tuple[str, ...]
-    grid: np.ndarray
+    dates: tuple[str, ...]
     assets: np.ndarray
     liabilities: np.ndarray
-    grid_labels: tuple[str, ...] | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "bank_ids", tuple(self.bank_ids))
-        object.__setattr__(self, "grid", _readonly(np.asarray(self.grid, dtype=np.int64)))
+        object.__setattr__(self, "dates", tuple(self.dates))
         assets = _readonly(np.asarray(self.assets, dtype=np.float64))
         liab = _readonly(np.asarray(self.liabilities, dtype=np.float64))
-        if not assets.shape == liab.shape == (len(self.grid), len(self.bank_ids)):
-            raise ValueError(f"balance sheets must be {len(self.grid)} dates x "
+        if not assets.shape == liab.shape == (len(self.dates), len(self.bank_ids)):
+            raise ValueError(f"balance sheets must be {len(self.dates)} dates x "
                              f"{len(self.bank_ids)} banks, got {assets.shape} and {liab.shape}")
-        errors = _faults(self.bank_ids, self.grid, assets, liab,
-                         ~(np.isnan(assets) & np.isnan(liab)))
+        errors = _faults(self.bank_ids, assets, liab, ~(np.isnan(assets) & np.isnan(liab)))
         if errors:
             raise errors[min(errors)]
         object.__setattr__(self, "assets", assets)
         object.__setattr__(self, "liabilities", liab)
-        if self.grid_labels is not None:
-            labels = tuple(self.grid_labels)
-            if len(labels) != len(self.grid):
-                raise ValueError("grid_labels length must match grid length")
-            object.__setattr__(self, "grid_labels", labels)
 
     def __len__(self) -> int:
         return len(self.bank_ids)
 
 
-def _faults(bank_ids: tuple[str, ...], times: np.ndarray, assets: np.ndarray,
-            liabilities: np.ndarray, seen: np.ndarray | bool = True) -> dict[int, DomainError]:
+def _faults(bank_ids: tuple[str, ...], assets: np.ndarray, liabilities: np.ndarray,
+            seen: np.ndarray | bool = True) -> dict[int, DomainError]:
     """The balance-sheet rules, applied to the ``seen`` cells of (dates x banks) matrices.
 
     Returns the error of each column that breaks a rule, keyed by column. A
     column is checked for non-finite values, then for assets <= 0 or
     liabilities < 0, then for liabilities >= assets (non-positive equity);
-    the first rule it breaks is reported, at the time of its first breach.
+    the first rule it breaks is reported, at the row of its first breach.
     """
     invalid = seen & ((assets <= 0) | (liabilities < 0))
     degenerate = seen & (liabilities >= assets)
     errors: dict[int, DomainError] = {}
     # later rules first, so that an earlier rule overwrites them
     for k in np.flatnonzero(degenerate.any(axis=0)).tolist():
-        t = int(times[degenerate[:, k].argmax()])
+        t = int(degenerate[:, k].argmax())
         errors[k] = DegenerateEquityError(
             f"{bank_ids[k]}: liabilities >= assets at t={t} (non-positive equity)",
             bank_id=bank_ids[k], time_index=t)
     for k in np.flatnonzero(invalid.any(axis=0)).tolist():
-        t = int(times[invalid[:, k].argmax()])
+        t = int(invalid[:, k].argmax())
         errors[k] = DomainError(f"{bank_ids[k]}: invalid assets/liabilities at t={t}")
     non_finite = seen & ~(np.isfinite(assets) & np.isfinite(liabilities))
     for k in np.flatnonzero(non_finite.any(axis=0)).tolist():
@@ -139,10 +131,10 @@ def _leverage_matrix(panel: Panel) -> np.ndarray:
 class CensusReport:
     """Membership counts over a panel window.
 
-    ``n_start``/``n_end`` count banks observed at the first/last grid point,
+    ``n_start``/``n_end`` count banks observed on the first/last date,
     ``n_birth`` banks whose first observation falls strictly inside the
     window, ``n_death`` banks whose last one does, and ``n_complete`` banks
-    observed at every grid point.
+    observed on every date.
     """
 
     n_start: int
@@ -153,9 +145,9 @@ class CensusReport:
 
 
 def filter_complete(panel: Panel) -> Panel:
-    """Keep only members with an observation at every grid point.
+    """Keep only members with an observation on every date.
 
-    The grid itself is unchanged. Warns (EmptyPanelWarning) when nothing
+    The dates themselves are unchanged. Warns (EmptyPanelWarning) when nothing
     survives. A panel whose members are all complete is returned as is (it
     is immutable), so filtering is idempotent and free the second time.
     """
@@ -164,8 +156,8 @@ def filter_complete(panel: Panel) -> Panel:
         return panel
     if len(panel) and not keep.any():
         warnings.warn(f"panel {panel.label!r}: no complete members", EmptyPanelWarning)
-    return Panel(panel.label, tuple(compress(panel.bank_ids, keep)), panel.grid,
-                 panel.assets[:, keep], panel.liabilities[:, keep], panel.grid_labels)
+    return Panel(panel.label, tuple(compress(panel.bank_ids, keep)), panel.dates,
+                 panel.assets[:, keep], panel.liabilities[:, keep])
 
 
 def census(panel: Panel) -> CensusReport:
@@ -173,7 +165,7 @@ def census(panel: Panel) -> CensusReport:
     if not len(panel):
         raise ValueError("cannot take a census of an empty panel")
     seen = ~np.isnan(panel.assets)
-    end = len(panel.grid) - 1
+    end = len(panel.dates) - 1
     first, last = seen.argmax(axis=0), end - seen[::-1].argmax(axis=0)
     return CensusReport(int(np.count_nonzero(first == 0)), int(np.count_nonzero(last == end)),
                         int(np.count_nonzero(first > 0)), int(np.count_nonzero(last < end)),
@@ -181,8 +173,9 @@ def census(panel: Panel) -> CensusReport:
 
 
 def central_leverage(panel: Panel, statistic: Literal["median", "mean"] = "median",
-                     ) -> list[tuple[int, float]]:
-    """Per-grid-point median (or mean) leverage across complete members."""
+                     ) -> list[tuple[str, float]]:
+    """Per-date median (or mean) leverage across complete members, each
+    paired with its date label."""
     if statistic not in ("median", "mean"):
         raise ValueError(f"unknown statistic {statistic!r}")
     if not len(panel):
@@ -194,4 +187,4 @@ def central_leverage(panel: Panel, statistic: Literal["median", "mean"] = "media
     # banks x dates, so that the mean sums bank by bank
     stack = _leverage_matrix(panel)
     agg = np.median(stack, axis=0) if statistic == "median" else np.mean(stack, axis=0)
-    return list(zip(panel.grid.tolist(), agg.tolist()))
+    return list(zip(panel.dates, agg.tolist()))

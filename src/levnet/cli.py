@@ -30,7 +30,7 @@ import numpy as np
 from . import balance_sheet as bs
 from . import network as net
 from .growth import ReplicationStudy, replication_study
-from .sim import EVENT_KINDS, ConfigError, SimConfig, SimOutput, period_date, run
+from .sim import EVENT_KINDS, ConfigError, SimConfig, SimOutput, run
 
 __all__ = [
     "EXIT_COMPUTE", "EXIT_IO", "EXIT_OK", "EXIT_VALIDATION",
@@ -54,7 +54,7 @@ class IngestError(ValueError):
 class IngestSpec:
     """Where and how to read a balance-sheet panel CSV.
 
-    Dates are ISO-8601 and map to grid indices by rank among the distinct
+    Dates are ISO-8601 and map to panel rows by rank among the distinct
     sorted dates of the whole file. ``strict`` mode aborts on any invalid
     bank or any bank with interior gaps (a mixed-frequency reporter);
     ``lenient`` drops invalid banks, keeps gapped ones (they simply never
@@ -89,13 +89,14 @@ def _fmt(x: float) -> str:
 
 
 @contextmanager
-def _atomic_write(path: Path, newline: str | None = None):
+def _atomic_write(path: Path):
     """A text file for writing ``path``: a sibling temp file that replaces
     ``path`` when the block ends, and is removed if the block raises, so that
-    ``path`` keeps its old bytes or has all the new ones."""
+    ``path`` keeps its old bytes or has all the new ones. Lines end in LF on
+    every platform."""
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.urandom(4).hex()}.tmp")
-    fh = open(tmp, "x", encoding="utf-8", newline=newline)
+    fh = open(tmp, "x", encoding="utf-8", newline="")
     try:
         with fh:
             yield fh
@@ -139,7 +140,7 @@ def _read_rows(reader, path: Path, picks, cols: _Columns) -> None:
     b_col, d_col, a_col, l_col = picks
     bank_code, date_code, days = cols.bank_code, cols.date_code, cols.days
     banks, dates, assets, liabilities = cols.banks, cols.dates, cols.assets, cols.liabilities
-    for lineno, row in enumerate(reader, start=2):
+    for row in reader:
         if not row:
             continue
         try:
@@ -150,9 +151,9 @@ def _read_rows(reader, path: Path, picks, cols: _Columns) -> None:
                 days.append(datetime.date.fromisoformat(day))
             a_val, l_val = float(row[a_col]), float(row[l_col])
         except (IndexError, ValueError) as exc:
-            raise IngestError(f"{path}:{lineno}: malformed row: {exc}") from exc
+            raise IngestError(f"{path}:{reader.line_num}: malformed row: {exc}") from exc
         if not bank:
-            raise IngestError(f"{path}:{lineno}: empty bank id")
+            raise IngestError(f"{path}:{reader.line_num}: empty bank id")
         banks.append(bank_code.setdefault(bank, len(bank_code)))
         dates.append(date_code[day])
         assets.append(a_val)
@@ -227,9 +228,9 @@ def _read_blocks(fh, width: int, picks, cols: _Columns) -> bool:
 
 def _read_columns(spec: IngestSpec, path: Path, by_row: bool = False):
     """Read the file into bank and date codes and float values, then scatter
-    them into (dates x banks) matrices. Returns the sorted bank ids and
-    dates, the row count of every cell, and the assets and liabilities (NaN
-    in cells no row fills). A file whose blocks are all plain is converted a
+    them into (dates x banks) matrices. Returns the sorted bank ids, the
+    sorted dates as ISO labels, the row count of every cell, and the assets
+    and liabilities (NaN in cells no row fills). A file whose blocks are all plain is converted a
     column at a time; any other file is read again from the top with
     ``by_row``, the csv row loop alone, which is also the reference the tests
     hold the block reader to."""
@@ -264,12 +265,12 @@ def _read_columns(spec: IngestSpec, path: Path, by_row: bool = False):
     if not cols.banks:
         raise IngestError(f"{path}: no data rows")
 
-    # dates rank as parsed dates, so two spellings of one day are one grid point
-    grid_dates = sorted(set(cols.days))
-    rank = {day: k for k, day in enumerate(grid_dates)}
+    # dates rank as parsed dates, so two spellings of one day are one row
+    days = sorted(set(cols.days))
+    rank = {day: k for k, day in enumerate(days)}
     ids = sorted(cols.bank_code)
     column = {bank: k for k, bank in enumerate(ids)}
-    shape = (len(grid_dates), len(ids))
+    shape = (len(days), len(ids))
     n_cells, n_rows = shape[0] * shape[1], len(cols.banks)
     if n_cells > max(_MAX_CELLS, _MAX_CELLS_PER_ROW * n_rows):
         raise IngestError(
@@ -284,7 +285,7 @@ def _read_columns(spec: IngestSpec, path: Path, by_row: bool = False):
     a_mat, l_mat = np.full(shape, np.nan), np.full(shape, np.nan)
     a_mat.reshape(-1)[cell] = np.frombuffer(cols.assets)
     l_mat.reshape(-1)[cell] = np.frombuffer(cols.liabilities)
-    return ids, grid_dates, count, a_mat, l_mat
+    return ids, tuple(day.isoformat() for day in days), count, a_mat, l_mat
 
 
 def ingest_panel(spec: IngestSpec) -> IngestResult:
@@ -293,12 +294,11 @@ def ingest_panel(spec: IngestSpec) -> IngestResult:
     One pass of the balance-sheet rules over the (dates x banks) matrices
     decides which banks are dropped."""
     path = Path(spec.path)
-    ids, grid_dates, count, a_mat, l_mat = _read_columns(spec, path)
-    grid = np.arange(len(grid_dates))
+    ids, dates, count, a_mat, l_mat = _read_columns(spec, path)
     seen = count > 0
     duplicate = (count > 1).any(axis=0)
-    errors = bs._faults(ids, grid, a_mat, l_mat, seen)
-    first, last = seen.argmax(axis=0), grid[-1] - seen[::-1].argmax(axis=0)
+    errors = bs._faults(ids, a_mat, l_mat, seen)
+    first, last = seen.argmax(axis=0), len(dates) - 1 - seen[::-1].argmax(axis=0)
     gap = last - first + 1 != seen.sum(axis=0)
     valid = ~duplicate
     valid[list(errors)] = False
@@ -306,7 +306,7 @@ def ingest_panel(spec: IngestSpec) -> IngestResult:
     for k in np.flatnonzero(~valid | gap).tolist():
         bank = ids[k]
         if valid[k]:
-            # observations skip interior grid points: a sparser reporter
+            # observations skip interior dates: a sparser reporter
             if spec.mode == "strict":
                 raise IngestError(
                     f"{path}: bank {bank!r} has interior gaps (mixed sampling frequency)")
@@ -323,9 +323,8 @@ def ingest_panel(spec: IngestSpec) -> IngestResult:
 
     if not valid.any():
         raise IngestError(f"{path}: no valid banks remain")
-    labels = tuple(day.isoformat() for day in grid_dates)
-    panel = bs.Panel(path.stem, tuple(compress(ids, valid)), grid,
-                     a_mat[:, valid], l_mat[:, valid], labels)
+    panel = bs.Panel(path.stem, tuple(compress(ids, valid)), dates,
+                     a_mat[:, valid], l_mat[:, valid])
     complete = bs.filter_complete(panel)
     report = {
         "input": path.name,
@@ -342,14 +341,13 @@ def ingest_panel(spec: IngestSpec) -> IngestResult:
 
 
 def write_panel_csv(panel: bs.Panel, path: Path) -> None:
-    """Rows sorted by (bank_id, time); dates from the panel's grid labels.
+    """Rows sorted by (bank_id, date), each date as the panel labels it.
 
     The file is written a bank at a time. A bank's balance sheet stays as it
     was in most periods, so each run of rows with the same (assets,
     liabilities) is formatted once. Runs compare bits, not values: 0.0 and
     -0.0 are equal with different reprs."""
-    labels = panel.grid_labels or tuple(period_date(int(t)) for t in panel.grid)
-    dates = [f",{label}," for label in labels]
+    dates = [f",{label}," for label in panel.dates]
     assets, liabilities = panel.assets, panel.liabilities
     seen = ~np.isnan(assets)
     # a run starts at the first date and where a pair's bits change, so also
@@ -361,7 +359,7 @@ def write_panel_csv(panel: bs.Panel, path: Path) -> None:
     # each run's pair and row count, in file order
     run_a, run_l = assets.T[start.T], liabilities.T[start.T]
     run_rows = np.diff(np.flatnonzero(start.T[seen.T]), append=np.count_nonzero(seen))
-    with _atomic_write(path, newline="") as fh:
+    with _atomic_write(path) as fh:
         fh.write("bank_id,date,assets,liabilities\n")
         hi = 0
         for k, (bank, n_rows, n_runs) in enumerate(zip(
@@ -541,22 +539,24 @@ def cmd_network(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+# a curve's rho grid has at most this many steps, so 10^6 + 1 points
+_MAX_RHO_STEPS = 10**6
+
+
 def _rho_grid(rho_min: float, rho_max: float, rho_step: float) -> list[float]:
     if not (0.0 <= rho_min < rho_max <= 1.0):
         raise ValueError(f"need 0 <= rho_min < rho_max <= 1, got [{rho_min}, {rho_max}]")
-    # grid points are rounded to 10 decimals: a smaller step, or NaN, never
-    # moves past rho_max
-    if not (math.isfinite(rho_step) and rho_step >= 1e-10):
-        raise ValueError(f"rho_step must be finite and at least 1e-10, got {rho_step}")
-    grid = []
-    k = 0
-    while True:
-        rho = round(rho_min + k * rho_step, 10)
-        if rho > rho_max + 1e-12:
-            break
-        grid.append(min(rho, 1.0))
-        k += 1
-    return grid
+    # the steps are counted before any point is built
+    steps = (rho_max - rho_min) / rho_step if rho_step > 0 else math.inf
+    if not (math.isfinite(rho_step) and steps <= _MAX_RHO_STEPS):
+        raise ValueError(f"rho_step must be finite and positive, with at most "
+                         f"{_MAX_RHO_STEPS} steps from rho_min to rho_max, got {rho_step}")
+    # the count can fall just short of a whole number (0.3 / 0.1 is
+    # 2.9999999999999996), so one more point is tried, within the cap; points
+    # are rounded to 10 decimals
+    points = (round(rho_min + k * rho_step, 10)
+              for k in range(min(int(steps) + 2, _MAX_RHO_STEPS + 1)))
+    return [min(rho, 1.0) for rho in points if rho <= rho_max + 1e-12]
 
 
 def cmd_curve(args: argparse.Namespace) -> int:
@@ -576,7 +576,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     write_panel_csv(output.panel, out / "panel.csv")
-    ids, links, events = output.bank_ids, output.adjacency, output.events
+    ids, links, events = output.panel.bank_ids, output.adjacency, output.events
     with _atomic_write(out / "adjacency.csv") as fh:
         fh.write("period,lender_id,borrower_id,amount\n")
         for t, a, b, x in zip(links.period, links.lender, links.borrower, links.amount):

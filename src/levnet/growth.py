@@ -24,6 +24,7 @@ __all__ = [
     "growth_records",
     "most_correlated_pair",
     "replication_study",
+    "run_record",
 ]
 
 
@@ -79,7 +80,7 @@ def most_correlated_pair(matrix: CorrelationMatrix) -> tuple[str, str, float]:
 
 
 def growth_records(panel: Panel) -> tuple[GrowthRecord, ...]:
-    """Each bank's leverage and assets growth, last grid point over first."""
+    """Each bank's leverage and assets growth, last date over first."""
     assets = panel.assets[[0, -1]]
     lev = _leverage(assets, panel.liabilities[[0, -1]])
     zero = np.flatnonzero(lev[0] == 0.0)
@@ -90,14 +91,19 @@ def growth_records(panel: Panel) -> tuple[GrowthRecord, ...]:
                      (lev[1] / lev[0]).tolist(), (assets[1] / assets[0]).tolist()))
 
 
-def _study_run(config: SimConfig, run_index: int) -> RunRecord:
-    rng = np.random.default_rng([config.seed, run_index])
-    out: SimOutput = run(config, rng=rng)
-    a, b, r = most_correlated_pair(leverage_correlation(out.panel))
-    records = growth_records(out.panel)
+def run_record(panel: Panel, run_index: int) -> RunRecord:
+    """The record of one replication from its panel: the most-correlated
+    pair, every bank's growth and the population medians."""
+    a, b, r = most_correlated_pair(leverage_correlation(panel))
+    records = growth_records(panel)
     med_lev = float(np.median([g.leverage_growth for g in records]))
     med_ast = float(np.median([g.assets_growth for g in records]))
     return RunRecord(run_index, a, b, r, records, med_lev, med_ast)
+
+
+def _study_run(config: SimConfig, run_index: int) -> RunRecord:
+    out: SimOutput = run(config, rng=np.random.default_rng([config.seed, run_index]))
+    return run_record(out.panel, run_index)
 
 
 def replication_study(config: SimConfig, runs: int) -> ReplicationStudy:

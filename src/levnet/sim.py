@@ -162,18 +162,14 @@ def bank_label(i: int, n_banks: int) -> str:
 class SimOutput:
     """Everything a run produces.
 
-    ``assets``, ``liabilities`` and ``leverage`` have shape
-    (n_periods + 1, n_banks): row t is the state after period t, row 0 the
-    initial system. The panel wraps the same ``assets`` and ``liabilities``
-    arrays, which are therefore read-only. ``leverage`` is liabilities over
-    the model's equity and feeds only the mean-leverage traces; networks and
-    growth records take leverage from the panel, as they do for a file.
+    The panel holds the balance sheets: one row per period, row t the state
+    after period t and row 0 the initial system, dated by ``period_date``.
+    ``leverage`` has the panel's shape; it is liabilities over the model's
+    equity and feeds only the mean-leverage traces. Networks and growth
+    records take leverage from the panel, as they do for a file.
     """
 
     config: SimConfig
-    bank_ids: tuple[str, ...]
-    assets: np.ndarray
-    liabilities: np.ndarray
     leverage: np.ndarray
     panel: Panel
     adjacency: LinkLog
@@ -185,7 +181,7 @@ class SimOutput:
 
     @property
     def mean_assets(self) -> np.ndarray:
-        return self.assets.mean(axis=1)
+        return self.panel.assets.mean(axis=1)
 
     @property
     def assets_growth(self) -> float:
@@ -350,10 +346,9 @@ def run(config: SimConfig, rng: np.random.Generator | None = None) -> SimOutput:
     leverage = log_e[latest]
     np.divide(liab, leverage, out=leverage)
 
-    ids = tuple(bank_label(i, n) for i in range(n))
-    panel = Panel(f"sim-seed{config.seed}", ids, np.arange(t_max + 1), assets, liab,
-                  _period_labels(t_max))
-    return SimOutput(config, ids, assets, liab, leverage, panel,
+    panel = Panel(f"sim-seed{config.seed}", tuple(bank_label(i, n) for i in range(n)),
+                  _period_labels(t_max), assets, liab)
+    return SimOutput(config, leverage, panel,
                      LinkLog(*_columns(links, "qqqd")), EventLog(*_columns(events, "qbqqd")))
 
 

@@ -10,6 +10,7 @@ import pytest
 
 from levnet.balance_sheet import Panel
 from levnet.network import CorrelationMatrix
+from levnet.sim import period_date
 
 
 @dataclass(frozen=True, eq=False)
@@ -35,9 +36,10 @@ def from_observations(bank_id: str,
 
 
 def panel_from_members(label: str, members: Iterable[BankSeries],
-                       grid_labels: Iterable[str] | None = None) -> Panel:
-    """The panel of the given banks, on the union of their times; the panel
-    checks every observation against the balance-sheet rules."""
+                       dates: Iterable[str] | None = None) -> Panel:
+    """The panel of the given banks, one row per time in the union of their
+    times, dated by ``dates`` (``period_date`` of each time by default); the
+    panel checks every observation against the balance-sheet rules."""
     members = sorted(members, key=lambda m: m.bank_id)
     ids = [m.bank_id for m in members]
     if len(set(ids)) != len(ids):
@@ -48,14 +50,15 @@ def panel_from_members(label: str, members: Iterable[BankSeries],
     for k, m in enumerate(members):
         rows = np.searchsorted(grid, m.times)
         assets[rows, k], liab[rows, k] = m.assets, m.liabilities
-    labels = tuple(grid_labels) if grid_labels is not None else None
-    return Panel(label, tuple(ids), grid, assets, liab, labels)
+    dates = tuple(map(period_date, grid.tolist()) if dates is None else dates)
+    return Panel(label, tuple(ids), dates, assets, liab)
 
 
 def bank_series(panel: Panel) -> tuple[BankSeries, ...]:
-    """One bank series per column of the panel, from its observed cells."""
+    """One bank series per column of the panel, from its observed cells;
+    a cell's time is its row."""
     seen = ~np.isnan(panel.assets)
-    return tuple(BankSeries(bank, panel.grid[rows], panel.assets[rows, k],
+    return tuple(BankSeries(bank, np.flatnonzero(rows), panel.assets[rows, k],
                             panel.liabilities[rows, k])
                  for k, (bank, rows) in enumerate(zip(panel.bank_ids, seen.T)))
 

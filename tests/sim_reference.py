@@ -256,8 +256,7 @@ def reference_run(config: SimConfig, rng: np.random.Generator | None = None) -> 
     leverage = liab / equity
 
     ids = tuple(bank_label(i, n) for i in range(n))
-    panel = Panel(f"sim-seed{config.seed}", ids, np.arange(t_max + 1), assets, liab,
-                  _period_labels(t_max))
+    panel = Panel(f"sim-seed{config.seed}", ids, _period_labels(t_max), assets, liab)
     adjacency = AdjacencyHistory(tuple(tuple(p) for p in state.adjacency))
     return ReferenceOutput(config, ids, assets, liab, leverage, panel,
                            adjacency, tuple(state.events))

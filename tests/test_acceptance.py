@@ -97,8 +97,8 @@ def test_criterion_2_simulation_invariants():
     out1 = run(config)
     run_seconds = time.time() - t0
     out2 = run(config)
-    identical = (np.array_equal(out1.assets, out2.assets)
-                 and np.array_equal(out1.liabilities, out2.liabilities)
+    identical = (np.array_equal(out1.panel.assets, out2.panel.assets)
+                 and np.array_equal(out1.panel.liabilities, out2.panel.liabilities)
                  and out1.events == out2.events
                  and out1.adjacency == out2.adjacency)
 
@@ -108,12 +108,12 @@ def test_criterion_2_simulation_invariants():
     state = init(config, rng)
     worst_gap = 0.0
     nonneg = equity_ok = closure_ok = True
-    same = np.array_equal(state.assets, out1.assets[0])
+    same = np.array_equal(state.assets, out1.panel.assets[0])
     prev_equity = state.equity.copy()
     for t in range(1, config.n_periods + 1):
         step(state, rng)
-        same &= (np.array_equal(state.assets, out1.assets[t])
-                 and np.array_equal(state.liabilities, out1.liabilities[t])
+        same &= (np.array_equal(state.assets, out1.panel.assets[t])
+                 and np.array_equal(state.liabilities, out1.panel.liabilities[t])
                  and np.array_equal(state.liabilities / state.equity, out1.leverage[t]))
         rhs = state.liabilities + state.equity
         worst_gap = max(worst_gap, float(np.max(np.abs(state.assets - rhs) / np.abs(rhs))))
@@ -217,8 +217,8 @@ def test_criterion_8_empirical_pipeline_fixtures(tmp_path, argentina_panel):
     liabilities = assets * rng.uniform(0.0, 0.99, (1, 200))
     c = rng.uniform(1e-6, 1e6, (1, 200))
     ids = tuple(f"b{k:03d}" for k in range(200))
-    base = _leverage_matrix(Panel("base", ids, [0], assets, liabilities))[:, 0].tolist()
-    scaled = _leverage_matrix(Panel("scaled", ids, [0], c * assets, c * liabilities))[:, 0]
+    base = _leverage_matrix(Panel("base", ids, ("2005-03-31",), assets, liabilities))[:, 0].tolist()
+    scaled = _leverage_matrix(Panel("scaled", ids, ("2005-03-31",), c * assets, c * liabilities))[:, 0]
     scale_ok = all(math.isclose(s, b, rel_tol=1e-12) for s, b in zip(scaled.tolist(), base))
 
     ok = census_ok and round_trip_ok and scale_ok

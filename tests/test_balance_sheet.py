@@ -30,7 +30,7 @@ def make_panel(bank_id, rows):
 
 def leverage_of(assets, liabilities):
     """The leverage of one balance sheet, as a one-bank, one-date panel has it."""
-    return float(_leverage_matrix(Panel("p", ("b",), [0], [[assets]], [[liabilities]]))[0, 0])
+    return float(_leverage_matrix(Panel("p", ("b",), ("2005-03-31",), [[assets]], [[liabilities]]))[0, 0])
 
 
 def leverage_row(bank_id, rows):
@@ -80,13 +80,14 @@ class TestBankSeries:
         with pytest.raises(DomainError, match="non-finite"):
             make_panel("x", [(0, 10.0, -1.0), (1, np.nan, 1.0)])
         with pytest.raises(ValueError, match="balance sheets must be"):
-            Panel("p", ("x",), [0, 1], [[10.0]], [[1.0]])
+            Panel("p", ("x",), ("2005-03-31", "2005-06-30"), [[10.0]], [[1.0]])
 
     def test_degenerate_equity_reports_time(self):
-        with pytest.raises(DegenerateEquityError) as exc:
+        # the time of a breach is its row: times 0 and 3 are the panel's two dates
+        with pytest.raises(DegenerateEquityError, match="at t=1") as exc:
             make_panel("bankX", [(0, 10.0, 5.0), (3, 10.0, 10.0)])
         assert exc.value.bank_id == "bankX"
-        assert exc.value.time_index == 3
+        assert exc.value.time_index == 1
 
     def test_arrays_read_only(self):
         panel = panel_from_members("p", [constant_series("a", range(3))])
@@ -126,11 +127,11 @@ class TestLeverageSeries:
 class TestFilterComplete:
     def test_drops_short_member(self):
         full = [constant_series(f"b{i}", range(4)) for i in range(2)]
-        short = constant_series("c", range(3))  # misses the final grid point
+        short = constant_series("c", range(3))  # misses the final date
         panel = panel_from_members("p", full + [short])
         out = filter_complete(panel)
         assert out.bank_ids == ("b0", "b1")
-        assert np.array_equal(out.grid, panel.grid)
+        assert out.dates == panel.dates
 
     def test_identity_when_all_complete(self):
         panel = panel_from_members("p", [constant_series(f"b{i}", range(5)) for i in range(3)])
@@ -184,7 +185,7 @@ class TestCensus:
         rep = census(panel)
 
         # independent scan over each bank's first/last observation
-        start, end = int(panel.grid[0]), int(panel.grid[-1])
+        start, end = 0, len(panel.dates) - 1
         firsts = {m.bank_id: int(m.times[0]) for m in bank_series(panel)}
         lasts = {m.bank_id: int(m.times[-1]) for m in bank_series(panel)}
         assert rep.n_start == sum(1 for v in firsts.values() if v == start)
@@ -192,7 +193,7 @@ class TestCensus:
         assert rep.n_birth == sum(1 for v in firsts.values() if v > start)
         assert rep.n_death == sum(1 for v in lasts.values() if v < end)
         assert rep.n_complete == sum(
-            1 for m in bank_series(panel) if len(m.times) == len(panel.grid))
+            1 for m in bank_series(panel) if len(m.times) == len(panel.dates))
 
     def test_identity_without_mid_window_turnover(self, argentina_panel):
         # no bank both appears and disappears inside the window
@@ -207,7 +208,7 @@ class TestCentralLeverage:
         panel = panel_from_members("p", [a, b])
         values = central_leverage(panel)
         assert [v for _, v in values] == pytest.approx([6.0] * 4)
-        assert [t for t, _ in values] == [0, 1, 2, 3]
+        assert [d for d, _ in values] == ["2000-01-01", "2000-01-02", "2000-01-03", "2000-01-04"]
 
     def test_taiwan_overall_median(self, taiwan_panel):
         values = [v for _, v in central_leverage(taiwan_panel, "median")]
@@ -220,7 +221,7 @@ class TestCentralLeverage:
         panel = panel_from_members(
             "p", [series_from_leverage(f"b{i}", range(n_times), levs[i])
                   for i in range(n_banks)])
-        got = dict(central_leverage(panel, "median"))
+        got = [v for _, v in central_leverage(panel, "median")]
         for t in range(n_times):
             col = sorted(levs[i, t] for i in range(n_banks))
             assert got[t] == pytest.approx(col[n_banks // 2], rel=1e-12)

@@ -44,7 +44,7 @@ def write(tmp_path, name, text):
 class TestIngest:
     def test_well_formed_two_banks(self, tmp_path):
         result = ingest_panel(IngestSpec(str(write(tmp_path, "p.csv", WELL_FORMED))))
-        assert len(result.panel.grid) == 3
+        assert result.panel.dates == ("2005-03-31", "2005-06-30", "2005-09-30")
         assert result.complete.bank_ids == ("alpha", "beta")
         assert result.census.n_complete == 2
         assert not result.report["mixed_sampling"]
@@ -245,7 +245,8 @@ class TestCurveCommand:
                    "--out", str(tmp_path / "c.csv")])
         assert rc == EXIT_COMPUTE
 
-    @pytest.mark.parametrize("step", ["nan", "1e-300"])
+    # 1e-7 and 1e-9 would build grids of 10^7 and 10^9 points
+    @pytest.mark.parametrize("step", ["nan", "1e-300", "1e-7", "1e-9"])
     def test_step_that_cannot_advance_rejected(self, tmp_path, modular_panel, step):
         src = tmp_path / "modular.csv"
         write_panel_csv(modular_panel, src)
@@ -574,6 +575,9 @@ STRICT_DEFECTS = {
                            "p.csv:5: malformed row: month must be in 1..12"),
         "malformed number": (STRICT_OK + "\nx,2005-03-31,2,one\n",
                              "p.csv:6: malformed row: could not convert string to float: 'one'"),
+        # the quoted id spans lines 5 and 6: the bad value is on line 7, the sixth record
+        "after a multiline field": (STRICT_OK + '"a\nb",2005-03-31,2,1\nb,2005-03-31,x,5.0\n',
+                                    "p.csv:7: malformed row: could not convert string to float: 'x'"),
         "short row": (STRICT_OK + "x,2005-03-31,2\n",
                       "p.csv:5: malformed row: list index out of range"),
         "empty bank id": (STRICT_OK + " ,2005-03-31,2,1\n", "p.csv:5: empty bank id"),
@@ -691,7 +695,7 @@ class TestGoldenDigests:
         Path("p.csv").write_text(TWO_SPELLINGS, encoding="utf-8")
         result = ingest_panel(IngestSpec("p.csv"))
         assert result.report["dropped"] == [{"bank_id": "a", "reason": "duplicate dates"}]
-        assert result.panel.grid_labels == ("2005-03-31", "2005-06-30")
+        assert result.panel.dates == ("2005-03-31", "2005-06-30")
         assert main(["ingest", "--input", "p.csv", "--out-dir", "out"]) == EXIT_OK
         assert Path("out/panel.csv").read_text() == (
             "bank_id,date,assets,liabilities\n"
@@ -758,8 +762,7 @@ class TestHostileFiles:
         result = ingest_panel(IngestSpec(str(write(tmp_path, "p.csv", text))))
         assert result.report["dropped"] == [
             {"bank_id": "gamma", "reason": "gamma: non-finite balance sheet values"}]
-        assert result.panel.grid_labels == ("2005-03-31", "2005-06-30", "2005-09-30",
-                                             "2005-12-31")
+        assert result.panel.dates == ("2005-03-31", "2005-06-30", "2005-09-30", "2005-12-31")
         assert result.panel.bank_ids == ("alpha", "beta")
         assert result.complete.bank_ids == ()
         assert (result.census.n_end, result.census.n_death) == (0, 2)

@@ -80,7 +80,7 @@ def columnar(path, mode):
     complete = {m.bank_id: (m.assets.tolist(), m.liabilities.tolist())
                 for m in bank_series(result.complete)}
     assert result.complete.bank_ids == tuple(sorted(complete))
-    assert result.complete.grid_labels == result.panel.grid_labels
+    assert result.complete.dates == result.panel.dates
     return (result.report["dropped"], result.report["gapped_banks"],
             (c.n_start, c.n_end, c.n_birth, c.n_death, c.n_complete), complete)
 

@@ -16,14 +16,13 @@ from levnet.sim import period_date
 
 def reference_write_panel_csv(panel, path):
     """One f-string and one write per row, each value through repr."""
-    labels = panel.grid_labels or tuple(period_date(int(t)) for t in panel.grid)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write("bank_id,date,assets,liabilities\n")
         for bank, assets, liabilities in zip(panel.bank_ids, panel.assets.T, panel.liabilities.T):
             bank = _csv_field(bank)
             rows = np.flatnonzero(~np.isnan(assets))
             for t, a, l in zip(rows.tolist(), assets[rows].tolist(), liabilities[rows].tolist()):
-                fh.write(f"{bank},{labels[t]},{a!r},{l!r}\n")
+                fh.write(f"{bank},{panel.dates[t]},{a!r},{l!r}\n")
 
 
 IDS = ("B00", "B01", "Banco, SA", 'Caja "Rural"', "z", "é")
@@ -55,16 +54,17 @@ def panels(draw):
             if step in ("liabilities", "both"):
                 l = draw(st.sampled_from(VALUES))
             assets[t, k], liabilities[t, k] = a, l
-    grid = np.cumsum(draw(st.lists(st.integers(1, 400), min_size=n_dates, max_size=n_dates)))
-    labels = draw(st.sampled_from([None, tuple(f"q{t}" for t in range(n_dates))]))
-    return SimpleNamespace(bank_ids=tuple(ids), grid=grid, assets=assets,
-                           liabilities=liabilities, grid_labels=labels)
+    days = np.cumsum(draw(st.lists(st.integers(1, 400), min_size=n_dates, max_size=n_dates)))
+    dates = draw(st.sampled_from([tuple(map(period_date, days.tolist())),
+                                  tuple(f"q{t}" for t in range(n_dates))]))
+    return SimpleNamespace(bank_ids=tuple(ids), dates=dates, assets=assets,
+                           liabilities=liabilities)
 
 
-def _panel(assets, liabilities, ids=("a",), labels=None):
+def _panel(assets, liabilities, ids=("a",)):
     assets, liabilities = np.array(assets, float), np.array(liabilities, float)
-    return SimpleNamespace(bank_ids=ids, grid=np.arange(len(assets)), assets=assets,
-                           liabilities=liabilities, grid_labels=labels)
+    return SimpleNamespace(bank_ids=ids, dates=tuple(map(period_date, range(len(assets)))),
+                           assets=assets, liabilities=liabilities)
 
 
 @settings(max_examples=400, deadline=None)
@@ -82,7 +82,7 @@ def test_panel_writer_matches_the_row_loop(tmp_path_factory, panel):
 
 def _four_banks() -> Panel:
     assets = np.array([[2.0, 3.0, 4.0, 5.0]] * 3)
-    return Panel("p", ("a", "b", "c", "d"), range(3), assets, assets / 2)
+    return Panel("p", ("a", "b", "c", "d"), tuple(map(period_date, range(3))), assets, assets / 2)
 
 
 def _fail_in_third_bank(monkeypatch):

@@ -11,7 +11,8 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from levnet import growth
 from levnet.cli import EXIT_COMPUTE, EXIT_OK, main, write_study_csv
-from levnet.sim import EVENT_KINDS, ConfigError, SimConfig, bank_label, run
+from levnet.balance_sheet import filter_complete
+from levnet.sim import EVENT_KINDS, ConfigError, SimConfig, bank_label, period_date, run
 
 from conftest import bank_series
 from sim_reference import (
@@ -279,15 +280,15 @@ class TestSettleRepayments:
 class TestRun:
     def test_zero_periods_keeps_initial_states_only(self):
         out = run(replace(SMALL, n_periods=0))
-        assert out.assets.shape == (1, SMALL.n_banks)
-        assert len(out.panel.grid) == 1
+        assert out.panel.assets.shape == out.leverage.shape == (1, SMALL.n_banks)
+        assert out.panel.dates == ("2000-01-01",)
         assert all(len(m) == 1 for m in bank_series(out.panel))
 
     def test_deterministic_bit_identical(self):
         a = run(SMALL)
         b = run(SMALL)
-        assert np.array_equal(a.assets, b.assets)
-        assert np.array_equal(a.liabilities, b.liabilities)
+        assert np.array_equal(a.panel.assets, b.panel.assets)
+        assert np.array_equal(a.panel.liabilities, b.panel.liabilities)
         assert np.array_equal(a.leverage, b.leverage)
         assert a.events == b.events
         assert a.adjacency == b.adjacency
@@ -295,15 +296,15 @@ class TestRun:
     def test_seed_changes_output(self):
         a = run(SMALL)
         b = run(replace(SMALL, seed=8))
-        assert not np.array_equal(a.assets, b.assets)
+        assert not np.array_equal(a.panel.assets, b.panel.assets)
 
     def test_panel_matches_arrays_and_is_complete(self):
         out = run(SMALL)
-        assert out.panel.bank_ids == out.bank_ids
-        for k, m in enumerate(bank_series(out.panel)):
-            assert np.array_equal(m.assets, out.assets[:, k])
-            assert np.array_equal(m.liabilities, out.liabilities[:, k])
-            assert len(m) == SMALL.n_periods + 1
+        assert out.panel.bank_ids == tuple(bank_label(i, SMALL.n_banks)
+                                           for i in range(SMALL.n_banks))
+        assert out.panel.dates == tuple(map(period_date, range(SMALL.n_periods + 1)))
+        assert out.leverage.shape == out.panel.assets.shape
+        assert filter_complete(out.panel) is out.panel
 
     def test_adjacency_consistent_with_events(self):
         out = run(replace(SMALL, n_periods=500))
@@ -330,7 +331,7 @@ class TestRun:
             step(state, rng)
             traj.append(state.assets.copy())
         out = run(SMALL)
-        assert np.array_equal(out.assets, np.array(traj))
+        assert np.array_equal(out.panel.assets, np.array(traj))
 
 
 def test_bank_labels_sort_numerically():
