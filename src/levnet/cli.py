@@ -22,7 +22,7 @@ import sys
 from array import array
 from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
-from itertools import chain, compress, filterfalse, repeat
+from itertools import chain, compress, repeat
 from pathlib import Path
 
 import numpy as np
@@ -160,18 +160,40 @@ def _read_rows(reader, path: Path, picks, cols: _Columns) -> None:
         liabilities.append(l_val)
 
 
-def _new_keys(code: dict[str, int], keys: list[str]) -> list[str]:
-    """The distinct ``keys`` that have no code yet, in order of appearance."""
-    return list(filterfalse(code.__contains__, dict.fromkeys(keys)))
+def _codes(code: dict[str, int], raw: list[str]) -> tuple[list[int], dict[str, int]]:
+    """The code of each of ``raw``'s keys, and the keys that have none yet,
+    numbered on from ``len(code)`` in order of appearance. ``code`` is left
+    as it is. Its keys are stripped, so a row that hits takes one lookup; only
+    a block with a miss strips, a distinct spelling at a time."""
+    codes = list(map(code.get, raw, repeat(-1)))
+    if -1 not in codes:
+        return codes, {}
+    new: dict[str, int] = {}
+    found = {}
+    for spelling in dict.fromkeys(compress(raw, map((-1).__eq__, codes))):
+        key = spelling.strip()
+        found[spelling] = code[key] if key in code else new.setdefault(key, len(code) + len(new))
+    return list(map(found.get, raw, codes)), new
+
+
+def _floats(strings: list[str]) -> array:
+    """``array("d", map(float, strings))``, with ``float`` called once per
+    distinct string. Equal strings convert to equal bits, so -0.0 and NaN
+    keep theirs; a bad string raises ValueError either way."""
+    distinct = set(strings)
+    if len(distinct) == len(strings):
+        return array("d", map(float, strings))
+    value = dict(zip(distinct, map(float, distinct)))
+    return array("d", map(value.__getitem__, strings))
 
 
 def _read_plain(text: str, width: int, picks, cols: _Columns) -> bool:
     """Add the rows of ``text``, whole lines of the file, to ``cols`` a column
-    at a time. Returns False and leaves ``cols`` as it was unless the csv row
-    loop would read every line the same way and without an error: no quote,
-    NUL or CR, the header's field count on every non-blank line, no line over
-    the csv field size limit, no empty bank id, and every date and value
-    converts."""
+    at a time, with the work done once per distinct string of a column.
+    Returns False and leaves ``cols`` as it was unless the csv row loop would
+    read every line the same way and without an error: no quote, NUL or CR,
+    the header's field count on every non-blank line, no line over the csv
+    field size limit, no empty bank id, and every date and value converts."""
     # csv unquotes, ends lines at a CR too and, before Python 3.11, rejects NUL
     if '"' in text or "\0" in text or "\r" in text:
         return False
@@ -190,22 +212,21 @@ def _read_plain(text: str, width: int, picks, cols: _Columns) -> bool:
             or "".join(fields[width - 1::width]).count("\n") != len(lines) - 1):
         return False
     b_col, d_col, a_col, l_col = picks
-    banks = list(map(str.strip, fields[b_col::width]))
-    days = list(map(str.strip, fields[d_col::width]))
-    new_banks, new_days = _new_keys(cols.bank_code, banks), _new_keys(cols.date_code, days)
+    banks, new_banks = _codes(cols.bank_code, fields[b_col::width])
+    dates, new_days = _codes(cols.date_code, fields[d_col::width])
+    if "" in new_banks:
+        return False
     try:
         parsed = list(map(datetime.date.fromisoformat, new_days))
-        assets = array("d", map(float, fields[a_col::width]))
-        liabilities = array("d", map(float, fields[l_col::width]))
+        assets = _floats(fields[a_col::width])
+        liabilities = _floats(fields[l_col::width])
     except ValueError:
         return False
-    if not all(banks):
-        return False
-    for code, new in ((cols.bank_code, new_banks), (cols.date_code, new_days)):
-        code.update(zip(new, range(len(code), len(code) + len(new))))
+    cols.bank_code.update(new_banks)
+    cols.date_code.update(new_days)
     cols.days += parsed
-    cols.banks += array("q", map(cols.bank_code.__getitem__, banks))
-    cols.dates += array("q", map(cols.date_code.__getitem__, days))
+    cols.banks += array("q", banks)
+    cols.dates += array("q", dates)
     cols.assets += assets
     cols.liabilities += liabilities
     return True
@@ -556,7 +577,12 @@ def _rho_grid(rho_min: float, rho_max: float, rho_step: float) -> list[float]:
     # are rounded to 10 decimals
     points = (round(rho_min + k * rho_step, 10)
               for k in range(min(int(steps) + 2, _MAX_RHO_STEPS + 1)))
-    return [min(rho, 1.0) for rho in points if rho <= rho_max + 1e-12]
+    grid = [min(rho, 1.0) for rho in points if rho <= rho_max + 1e-12]
+    # a step below the rounding would give one rho row twice
+    if len(set(grid)) < len(grid):
+        raise ValueError(f"rho_step {rho_step} is below the 1e-10 rounding of the grid's "
+                         f"points, so some points from {rho_min} to {rho_max} coincide")
+    return grid
 
 
 def cmd_curve(args: argparse.Namespace) -> int:

@@ -245,13 +245,18 @@ class TestCurveCommand:
                    "--out", str(tmp_path / "c.csv")])
         assert rc == EXIT_COMPUTE
 
-    # 1e-7 and 1e-9 would build grids of 10^7 and 10^9 points
-    @pytest.mark.parametrize("step", ["nan", "1e-300", "1e-7", "1e-9"])
-    def test_step_that_cannot_advance_rejected(self, tmp_path, modular_panel, step):
+    # 1e-7 and 1e-9 would build grids of 10^7 and 10^9 points; a step below
+    # the points' 10-decimal rounding repeats them on a short range
+    @pytest.mark.parametrize("step, rho_max", [
+        ("nan", "1"), ("1e-300", "1"), ("1e-7", "1"), ("1e-9", "1"),
+        ("1e-12", "1e-6"), ("6e-11", "1e-9"),
+    ], ids=["nan", "1e-300", "1e-7", "1e-9", "1e-12 to 1e-6", "6e-11 to 1e-9"])
+    def test_step_that_cannot_advance_rejected(self, tmp_path, modular_panel, step, rho_max):
         src = tmp_path / "modular.csv"
         write_panel_csv(modular_panel, src)
         out = tmp_path / "c.csv"
-        rc = main(["curve", "--input", str(src), "--rho-step", step, "--out", str(out)])
+        rc = main(["curve", "--input", str(src), "--rho-max", rho_max, "--rho-step", step,
+                   "--out", str(out)])
         assert rc == EXIT_COMPUTE
         assert not out.exists()
 

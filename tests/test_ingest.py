@@ -4,6 +4,7 @@ defects, and the block reader against the csv row loop on hostile files."""
 import csv
 import datetime
 import math
+from array import array
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -220,6 +221,11 @@ PLAIN_HEAD = b"bank_id,date,assets,liabilities\na,2005-03-31,2,1\nb,2005-03-31,3
 @example(data=PLAIN_HEAD + b"a,2005-06-30,2\n1,b,2005-06-30,2,1\n", block=1 << 16, limit=None)
 @example(data=PLAIN_HEAD + b",2005-06-30,2,1\n", block=8, limit=None)
 @example(data=PLAIN_HEAD + f"a,2005-06-30,{LONG},1\n".encode(), block=8, limit=48)
+@example(data=PLAIN_HEAD + b" a,2005-06-30,2,1\n", block=8, limit=None)
+@example(data=PLAIN_HEAD + b"a,2005-06-30,2,2.0\nb,2005-06-30,-0.0,2\nc,2005-06-30,0.0,-0.0\n",
+         block=1 << 16, limit=None)
+@example(data=PLAIN_HEAD + b"a,2005-06-30,x,1\nb,2005-06-30,x,1\n", block=1 << 16, limit=None)
+@example(data=PLAIN_HEAD + b"a,2005-06-30,2,1\n,2005-06-30,3,1\n", block=8, limit=None)
 @given(data=hostile_files(), block=st.sampled_from([1, 2, 3, 5, 8, 13, 64, 1 << 16]),
        limit=st.sampled_from([None, 48]))
 def test_block_reader_matches_the_row_loop(tmp_path_factory, data, block, limit):
@@ -235,6 +241,31 @@ def test_block_reader_matches_the_row_loop(tmp_path_factory, data, block, limit)
             assert read_outcome(path, by_row=False) == expected
     finally:
         csv.field_size_limit(default_limit)
+
+
+@given(st.lists(st.sampled_from(VALUES + ODD_VALUES + ("2.0", "-0.0", "0.0", "-nan")),
+                max_size=40))
+def test_floats_match_a_float_per_string(strings):
+    def converted(convert):
+        try:
+            return convert(strings).tobytes()
+        except ValueError:
+            return ValueError
+    assert converted(cli._floats) == converted(lambda s: array("d", map(float, s)))
+
+
+def test_block_that_is_not_plain_leaves_the_columns_as_they_were():
+    cols = cli._Columns()
+    picks = (0, 1, 2, 3)
+    assert cli._read_plain("a,2005-03-31,2,1\nb,2005-03-31,3,1\n", 4, picks, cols)
+
+    def state():
+        return (dict(cols.bank_code), dict(cols.date_code), list(cols.days),
+                *(arr.tobytes() for arr in (cols.banks, cols.dates, cols.assets,
+                                             cols.liabilities)))
+    before = state()
+    assert not cli._read_plain("c,2005-06-30,2,1\na,2005-06-30,x,1\n", 4, picks, cols)
+    assert state() == before
 
 
 def test_plain_file_never_reaches_the_row_loop(tmp_path, monkeypatch):
