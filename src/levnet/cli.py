@@ -524,10 +524,11 @@ def _load_matrix(path: str) -> net.CorrelationMatrix:
 
 
 def cmd_network(args: argparse.Namespace) -> int:
+    # a flag error is reported before the input is read
+    if args.avg_degree is not None and args.mode == "absolute":
+        raise ValueError("--avg-degree ranks signed coefficients; use --rho with --mode absolute")
     matrix = _load_matrix(args.input)
     if args.avg_degree is not None:
-        if args.mode == "absolute":
-            raise ValueError("--avg-degree ranks signed coefficients; use --rho with --mode absolute")
         network = net.top_m_network(matrix, avg_degree=args.avg_degree)
     else:
         network = net.threshold_network(matrix, args.rho, args.mode)
@@ -586,9 +587,9 @@ def _rho_grid(rho_min: float, rho_max: float, rho_step: float) -> list[float]:
 
 
 def cmd_curve(args: argparse.Namespace) -> int:
-    matrix = _load_matrix(args.input)
-    curve = net.cluster_curve(matrix, _rho_grid(args.rho_min, args.rho_max, args.rho_step),
-                              args.mode)
+    # a flag error is reported before the input is read
+    grid = _rho_grid(args.rho_min, args.rho_max, args.rho_step)
+    curve = net.cluster_curve(_load_matrix(args.input), grid, args.mode)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     write_curve_csv(curve, out)

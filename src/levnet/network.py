@@ -4,9 +4,13 @@ Pairwise Pearson coefficients between banks' leverage series define an
 undirected graph: two banks are linked when their coefficient clears a
 threshold rho (``signed`` mode, r >= rho) or when its magnitude does
 (``absolute`` mode, |r| >= rho). Clusters are connected components.
-Sweeping rho yields the largest-cluster fraction curve: single linkage,
-one descending sort of the pairs and one union-find pass. Top-M is the
-threshold network at the M-th largest coefficient, so ties are kept.
+Sweeping rho yields the largest-cluster fraction curve by single linkage:
+at every rho, the clusters of the pairs that clear it are those of the
+maximum spanning forest's edges that clear it, so one union-find pass over
+the at most n - 1 forest edges, sorted by descending strength, reads off
+the largest cluster at each grid rho, equal to the threshold network's.
+Top-M is the threshold network at the M-th largest coefficient, so ties
+are kept.
 
 Constant (zero-variance) series, every value equal to the first, have no
 defined correlation; their matrix entries carry NaN, they are kept as nodes,
@@ -116,11 +120,16 @@ class CorrelationMatrix:
 def _pairs(matrix: CorrelationMatrix, mode: LinkMode = "signed") -> tuple[np.ndarray, ...]:
     """Defined upper-triangle pairs as arrays (i, j, r) in lexicographic order,
     plus each pair's link strength: r in signed mode, |r| in absolute mode."""
-    if mode not in ("signed", "absolute"):
-        raise ValueError(f"unknown link mode {mode!r}")
     ii, jj = np.nonzero(np.triu(~np.isnan(matrix.values), k=1))  # row-major
     r = matrix.values[ii, jj]
-    return ii, jj, r, (r if mode == "signed" else np.abs(r))
+    return ii, jj, r, _strength(r, mode)
+
+
+def _strength(r: np.ndarray, mode: LinkMode) -> np.ndarray:
+    """Link strength of coefficients r: r in signed mode, |r| in absolute mode."""
+    if mode not in ("signed", "absolute"):
+        raise ValueError(f"unknown link mode {mode!r}")
+    return r if mode == "signed" else np.abs(r)
 
 
 def _correlation(bank_ids: tuple[str, ...], X: np.ndarray) -> CorrelationMatrix:
@@ -223,7 +232,12 @@ def top_m_network(matrix: CorrelationMatrix, m: int | None = None,
             f"requested {m} edges but only {len(r)} defined pairs exist")
     if m == 0:
         return LeverageNetwork(matrix.bank_ids, (), math.nan, "signed", 0)
-    cut = r[np.argsort(-r, kind="stable")[m - 1]]
+    cut = np.partition(r, len(r) - m)[len(r) - m]
+    # 0.0 and -0.0 tie at the cut; keep the bits of the tie a stable
+    # descending sort puts at rank m, the first in pair order after the
+    # pairs above the cut
+    ties = np.flatnonzero(r == cut)
+    cut = r[ties[m - 1 - np.count_nonzero(r > cut)]]
     return replace(threshold_network(matrix, cut), target_edges=m)
 
 
@@ -308,19 +322,56 @@ class ClusterCurve:
         return float(rh[k]), float(rh[k + 1]), float(drops[k])
 
 
+def _spanning_forest(strength: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Edges (i, j) and weights of a maximum spanning forest of a dense
+    symmetric strength matrix, by Prim's algorithm. A NaN pair is never
+    linked, and the diagonal is not read."""
+    n = len(strength)
+    best = np.full(n, -np.inf)  # the strongest link from the tree to each node
+    source = np.zeros(n, dtype=np.intp)  # the tree node at the other end
+    unseen = np.ones(n, dtype=bool)
+    better = np.empty(n, dtype=bool)
+    ii, jj, weights = [], [], []
+    for _ in range(n):
+        k = int(np.argmax(best))
+        if best[k] == -np.inf:
+            # no link leaves the tree: start a new one at the lowest unvisited node
+            k = int(np.argmax(unseen))
+        else:
+            ii.append(source[k])
+            jj.append(k)
+            weights.append(best[k])
+        unseen[k] = False
+        best[k] = -np.inf
+        row = strength[k]
+        # NaN compares False, so an undefined pair never becomes a link
+        np.greater(row, best, out=better)
+        better &= unseen
+        np.putmask(source, better, k)
+        np.copyto(best, row, where=better)
+    return (np.array(ii, dtype=np.intp), np.array(jj, dtype=np.intp),
+            np.array(weights, dtype=np.float64))
+
+
 def cluster_curve(matrix: CorrelationMatrix, rho_grid: Iterable[float],
                   mode: LinkMode = "signed") -> ClusterCurve:
-    """Largest-cluster fraction at each threshold of an increasing rho grid."""
+    """Largest-cluster fraction at each threshold of an increasing rho grid.
+
+    Single linkage over a maximum spanning forest of the link strengths (r,
+    or |r| in absolute mode): at every rho, the clusters of the forest edges
+    that clear it are those of all pairs that clear it, so each fraction
+    equals the largest cluster of ``threshold_network(matrix, rho, mode)``.
+    """
     rhos = [float(r) for r in rho_grid]
     if any(b <= a for a, b in zip(rhos, rhos[1:])):
         raise ValueError("rho grid must be strictly increasing")
     if not all(-1.0 <= rho <= 1.0 for rho in rhos):
         raise ValueError(f"thresholds must lie in [-1, 1], got [{rhos[0]}, {rhos[-1]}]")
-    ii, jj, _, strength = _pairs(matrix, mode)
-    order = np.argsort(-strength, kind="stable")
+    ii, jj, weights = _spanning_forest(_strength(matrix.values, mode))
+    order = np.argsort(-weights, kind="stable")
     ii, jj = ii[order], jj[order]
-    # the pairs that clear each rho form a prefix of the ranking
-    ends = np.searchsorted(-strength[order], [-rho for rho in rhos], side="right").tolist()[::-1]
+    # the edges that clear each rho form a prefix of the ranking
+    ends = np.searchsorted(-weights[order], [-rho for rho in rhos], side="right").tolist()[::-1]
     parent, size, fractions = list(range(matrix.n)), [1] * matrix.n, []
     for done, end in zip([0] + ends, ends):
         _merge(parent, size, zip(ii[done:end].tolist(), jj[done:end].tolist()))

@@ -261,6 +261,22 @@ class TestCurveCommand:
         assert not out.exists()
 
 
+@pytest.mark.parametrize("command", [
+    ["curve", "--rho-step", "nan", "--out", "{out}/c.csv"],
+    ["network", "--avg-degree", "2.5", "--mode", "absolute", "--out-dir", "{out}"],
+], ids=["curve --rho-step nan", "network --avg-degree --mode absolute"])
+def test_flag_error_wins_over_an_input_error(tmp_path, capsys, command):
+    # the flags are checked before the input is read, so the malformed row
+    # is never reached
+    bad = write(tmp_path, "bad.csv", WELL_FORMED + "gamma,2005-03-31,lots,10.0\n")
+    assert main(["ingest", "--input", str(bad), "--out-dir", str(tmp_path / "i")]) == EXIT_VALIDATION
+    out = tmp_path / "out"
+    argv = [arg.format(out=out) for arg in command]
+    assert main(argv[:1] + ["--input", str(bad)] + argv[1:]) == EXIT_COMPUTE
+    assert "computation error" in capsys.readouterr().err
+    assert not out.exists()
+
+
 SIM_ARGS = ["--n-banks", "10", "--n-periods", "40", "--seed", "5"]
 
 

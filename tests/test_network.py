@@ -12,6 +12,8 @@ from levnet.network import (
     InsufficientPairsError,
     LeverageNetwork,
     _correlation,
+    _merge,
+    _pairs,
     cluster_curve,
     components,
     leverage_correlation,
@@ -426,13 +428,13 @@ SIGNED_GRID = [round(-1.0 + 0.05 * k, 10) for k in range(41)]
 UNIT_GRID = [round(0.01 * k, 10) for k in range(101)]
 
 
-def tied_matrix(rng, n, n_constant):
+def tied_matrix(rng, n, n_constant, constant=()):
     """Symmetric matrix with coefficients on the 0.05 grid, so that pairs tie
-    with each other and with grid points; ``n_constant`` random banks are
-    zero-variance (NaN rows and columns)."""
+    with each other and with grid points; ``n_constant`` random banks and the
+    banks in ``constant`` are zero-variance (NaN rows and columns)."""
     vals = np.triu(np.round(rng.uniform(-1.0, 1.0, size=(n, n)) * 20.0) / 20.0, k=1)
     vals = vals + vals.T
-    constant = rng.choice(n, size=n_constant, replace=False)
+    constant = [*rng.choice(n, size=n_constant, replace=False), *constant]
     vals[constant, :] = math.nan
     vals[:, constant] = math.nan
     np.fill_diagonal(vals, 1.0)
@@ -443,6 +445,22 @@ def curve_oracle(matrix, grid, mode):
     """Rebuild the network and its partition at every threshold."""
     return tuple((rho, components(threshold_network(matrix, rho, mode)).largest_fraction)
                  for rho in grid)
+
+
+def sorted_pairs_curve_oracle(matrix, grid, mode):
+    """Single linkage over every defined pair: one stable descending sort of
+    the link strengths, one union-find pass, the largest cluster read off as
+    the sweep passes each rho."""
+    ii, jj, _, strength = _pairs(matrix, mode)
+    order = np.argsort(-strength, kind="stable")
+    ii, jj = ii[order], jj[order]
+    # the pairs that clear each rho form a prefix of the ranking
+    ends = np.searchsorted(-strength[order], [-rho for rho in grid], side="right").tolist()[::-1]
+    parent, size, fractions = list(range(matrix.n)), [1] * matrix.n, []
+    for done, end in zip([0] + ends, ends):
+        _merge(parent, size, zip(ii[done:end].tolist(), jj[done:end].tolist()))
+        fractions.append(max(size) / matrix.n)
+    return tuple(zip(grid, fractions[::-1]))
 
 
 def threshold_oracle(matrix, rho, mode):
@@ -471,6 +489,77 @@ tied_matrices = st.builds(
     st.integers(min_value=0, max_value=2 ** 32 - 1),
     st.integers(min_value=2, max_value=24),
     st.integers(min_value=0, max_value=3))
+
+
+@st.composite
+def forest_matrices(draw):
+    """Tied matrices of 2-40 banks. Constant banks may sit at index 0, where
+    the spanning forest starts, at the last index, or cover every bank."""
+    n = draw(st.integers(min_value=2, max_value=40))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2 ** 32 - 1)))
+    ends = draw(st.sets(st.sampled_from([0, n - 1])))
+    if draw(st.integers(min_value=0, max_value=9)) == 0:
+        return tied_matrix(rng, n, 0, constant=range(n))
+    return tied_matrix(rng, n, draw(st.integers(min_value=0, max_value=min(3, n))),
+                       constant=ends)
+
+
+def zero_signed_matrix(seed, n):
+    """A tied matrix in which at least two pairs hold 0.0 and two hold -0.0."""
+    rng = np.random.default_rng(seed)
+    matrix = tied_matrix(rng, n, 0)
+    vals = np.array(matrix.values)
+    iu = np.triu_indices(n, k=1)
+    picks = rng.choice(len(iu[0]), size=4, replace=False)
+    for p, zero in zip(picks, (0.0, 0.0, -0.0, -0.0)):
+        vals[iu[0][p], iu[1][p]] = vals[iu[1][p], iu[0][p]] = zero
+    return CorrelationMatrix(matrix.bank_ids, vals)
+
+
+def factor_model_matrix(n=300, n_dates=24, seed=7):
+    """Correlation matrix of a seeded factor model of ``n`` banks: a market
+    factor plus one of 12 group factors plus noise. Every tenth bank repeats
+    the series before it, so that pair's coefficient is 1 up to rounding, and
+    every fifteenth bank is constant, so the spanning forest has many trees."""
+    rng = np.random.default_rng(seed)
+    market = rng.normal(size=n_dates)
+    groups = rng.normal(size=(12, n_dates))
+    X = (rng.uniform(0.2, 1.0, size=(n, 1)) * market
+         + rng.uniform(0.0, 1.5, size=(n, 1)) * groups[rng.integers(0, 12, size=n)]
+         + rng.normal(size=(n, n_dates)))
+    X[10::10] = X[9::10][:len(X[10::10])]
+    X[::15] = 2.5
+    return _correlation(tuple(f"N{i:03d}" for i in range(n)), np.ascontiguousarray(X))
+
+
+class TestSpanningForestCurve:
+    @settings(max_examples=120, deadline=None)
+    @given(forest_matrices())
+    @example(tied_matrix(np.random.default_rng(1), 12, 0, constant=[0]))
+    @example(tied_matrix(np.random.default_rng(2), 12, 0, constant=[11]))
+    @example(tied_matrix(np.random.default_rng(3), 7, 0, constant=range(7)))
+    @example(tied_matrix(np.random.default_rng(4), 2, 0))
+    @example(tied_matrix(np.random.default_rng(5), 2, 0, constant=[1]))
+    def test_curve_equals_both_oracles(self, matrix):
+        for mode in ("signed", "absolute"):
+            for grid in (SIGNED_GRID, UNIT_GRID):
+                points = cluster_curve(matrix, grid, mode).points
+                assert points == sorted_pairs_curve_oracle(matrix, grid, mode)
+                assert points == curve_oracle(matrix, grid, mode)
+
+    @pytest.mark.parametrize("decimals", [None, 2], ids=["raw", "rounded"])
+    def test_curve_equals_sorted_pairs_at_300_banks(self, decimals):
+        matrix = factor_model_matrix()
+        assert len(matrix.zero_variance) == 20
+        if decimals is not None:
+            # rounded coefficients tie with each other and with the grid, and
+            # the 20 repeated series that are not constant tie at exactly 1
+            matrix = CorrelationMatrix(matrix.bank_ids, np.round(matrix.values, decimals))
+            assert np.count_nonzero(np.triu(matrix.values, k=1) == 1.0) >= 20
+        grid = [round(-1.0 + 0.01 * k, 10) for k in range(201)]
+        for mode in ("signed", "absolute"):
+            points = cluster_curve(matrix, grid, mode).points
+            assert points == sorted_pairs_curve_oracle(matrix, grid, mode)
 
 
 class TestSingleSweepOracles:
@@ -506,6 +595,18 @@ class TestSingleSweepOracles:
             assert net.edges == threshold_network(matrix, net.threshold).edges
         empty = top_m_network(matrix, m=0)
         assert empty.edges == () and math.isnan(empty.threshold)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(min_value=0, max_value=2 ** 32 - 1), st.integers(min_value=4, max_value=12))
+    def test_top_m_cut_keeps_the_sign_of_zero_a_stable_sort_picks(self, seed, n):
+        matrix = zero_signed_matrix(seed, n)
+        r = _pairs(matrix)[2]
+        assert {math.copysign(1.0, x) for x in r if x == 0.0} == {1.0, -1.0}
+        ranked = r[np.argsort(-r, kind="stable")]
+        for k in range(1, len(r) + 1):
+            net = top_m_network(matrix, m=k)
+            assert net.threshold == ranked[k - 1]
+            assert math.copysign(1.0, net.threshold) == math.copysign(1.0, ranked[k - 1])
 
     @settings(max_examples=80, deadline=None)
     @given(tied_matrices)
