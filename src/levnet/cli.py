@@ -525,8 +525,12 @@ def _load_matrix(path: str) -> net.CorrelationMatrix:
 
 def cmd_network(args: argparse.Namespace) -> int:
     # a flag error is reported before the input is read
-    if args.avg_degree is not None and args.mode == "absolute":
+    if args.avg_degree is None:
+        net._check_threshold(args.rho)
+    elif args.mode == "absolute":
         raise ValueError("--avg-degree ranks signed coefficients; use --rho with --mode absolute")
+    else:
+        net._check_avg_degree(args.avg_degree)
     matrix = _load_matrix(args.input)
     if args.avg_degree is not None:
         network = net.top_m_network(matrix, avg_degree=args.avg_degree)

@@ -198,11 +198,20 @@ class LeverageNetwork:
         return 2.0 * self.n_edges / self.n if self.n else 0.0
 
 
+def _check_threshold(rho: float) -> None:
+    if not -1.0 <= rho <= 1.0:
+        raise ValueError(f"threshold must lie in [-1, 1], got {rho}")
+
+
+def _check_avg_degree(avg_degree: float) -> None:
+    if not (math.isfinite(avg_degree) and avg_degree >= 0):
+        raise ValueError(f"average degree must be finite and nonnegative, got {avg_degree}")
+
+
 def threshold_network(matrix: CorrelationMatrix, rho: float,
                       mode: LinkMode = "signed") -> LeverageNetwork:
     """Link every defined pair whose coefficient clears rho (inclusive)."""
-    if not -1.0 <= rho <= 1.0:
-        raise ValueError(f"threshold must lie in [-1, 1], got {rho}")
+    _check_threshold(rho)
     ii, jj, r, strength = _pairs(matrix, mode)
     keep = strength >= rho
     edges = tuple(zip(ii[keep].tolist(), jj[keep].tolist(), r[keep].tolist()))
@@ -221,8 +230,7 @@ def top_m_network(matrix: CorrelationMatrix, m: int | None = None,
     if (m is None) == (avg_degree is None):
         raise ValueError("pass exactly one of m and avg_degree")
     if avg_degree is not None:
-        if avg_degree < 0:
-            raise ValueError(f"average degree must be nonnegative, got {avg_degree}")
+        _check_avg_degree(avg_degree)
         m = int(math.floor(avg_degree * matrix.n / 2.0 + 0.5))
     if m < 0:
         raise ValueError(f"edge count must be nonnegative, got {m}")

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import datetime
 import functools
+import math
 from array import array
 from dataclasses import dataclass
 
@@ -212,8 +213,12 @@ def run(config: SimConfig, rng: np.random.Generator | None = None) -> SimOutput:
     ratios and deposit weights (``uniform``); then per period the arrival
     count (``poisson``), per request its originator (``integers``), the
     order of candidate lenders if it needs one (``permutation``) and, once
-    granted, the deposit recipients (``choice``); then the shock draw
-    (``random``) and, if it hits, its bank (``integers``).
+    granted, the deposit recipients (``choice`` without replacement); then
+    the shock draw (``random``) and, if it hits, its bank (``integers``).
+    ``uniform`` and ``permutation`` are Generator calls; ``poisson``,
+    ``integers``, ``choice`` and ``random`` come from ``_draws``, which runs
+    numpy's algorithms for them on the bit generator, so each returns what
+    the Generator method would.
     """
     config.validate()
     if rng is None:
@@ -248,8 +253,8 @@ def run(config: SimConfig, rng: np.random.Generator | None = None) -> SimOutput:
     drain = config.shock_factor * loan
     k_deposit = config.deposit_bank_count
     rate, shock_probability = config.arrival_rate, config.shock_probability
-    integers, permutation, choice = rng.integers, rng.permutation, rng.choice
-    poisson, uniform01 = rng.poisson, rng.random
+    integers, uniform01, poisson, choice = _draws(rng)
+    permutation = rng.permutation
     due: dict[int, list[tuple[int, int, float]]] = {}
 
     for t in range(1, t_max + 1):
@@ -282,8 +287,8 @@ def run(config: SimConfig, rng: np.random.Generator | None = None) -> SimOutput:
             event((t, _REPAYMENT, i, j, loan))
 
         # 2. loan requests
-        for _ in range(int(poisson(rate))):
-            i = int(integers(n))
+        for _ in range(poisson(rate)):
+            i = integers(n)
             j, borrowed = -1, 0.0
             own = liq[i]
             if own >= loan:
@@ -312,9 +317,8 @@ def run(config: SimConfig, rng: np.random.Generator | None = None) -> SimOutput:
             touched.append(i)
 
             # the loan returns to the system as deposits, split over a few banks
-            picks = choice(n, size=k_deposit, replace=False)
-            recipients = picks.tolist()
-            total = float(weights[picks].sum())
+            recipients = choice(n, k_deposit)
+            total = float(weights[recipients].sum())
             for r in recipients:
                 inflow = loan * (weight[r] / total)
                 liq[r] += inflow
@@ -325,7 +329,7 @@ def run(config: SimConfig, rng: np.random.Generator | None = None) -> SimOutput:
 
         # 3. a shock, clipped so neither liquidity nor deposits go negative
         if uniform01() < shock_probability:
-            s = int(integers(n))
+            s = integers(n)
             amount = min(drain, liq[s], dep[s])
             liq[s] -= amount
             dep[s] -= amount
@@ -350,6 +354,78 @@ def run(config: SimConfig, rng: np.random.Generator | None = None) -> SimOutput:
                   _period_labels(t_max), assets, liab)
     return SimOutput(config, leverage, panel,
                      LinkLog(*_columns(links, "qqqd")), EventLog(*_columns(events, "qbqqd")))
+
+
+def _draws(rng: np.random.Generator):
+    """``integers``, ``random``, ``poisson`` and ``choice`` on ``rng``'s stream.
+
+    Each follows numpy's algorithm for the Generator method of that name,
+    drawing through the bit generator's ``ctypes`` interface. That interface
+    shares the Generator's state and its buffered half of a 64-bit output,
+    so these draws and Generator calls mix in any order, and each returns
+    what the Generator call would, for any bit generator, at a fraction of
+    a Generator call's overhead. NumPy does not promise its streams across
+    versions (NEP 19); the tests compare these draws with the installed
+    numpy's Generator. The callables reach the state by its address, so
+    ``rng`` must outlive them.
+
+    - ``integers(high)``, 2 <= high <= 2**32: ``Generator.integers(high)``,
+      Lemire's method on 32-bit outputs.
+    - ``random()``: ``Generator.random()``.
+    - ``poisson(lam)``, lam >= 0: ``Generator.poisson(lam)`` as an int; the
+      multiplication method below 10, the Generator call from 10 up.
+    - ``choice(n, k)``, 0 <= k <= n <= 2**32: ``Generator.choice(n, k,
+      replace=False)`` as a list; Floyd's algorithm and a shuffle of the
+      picks, or the Generator call where numpy shuffles a whole range.
+    """
+    bits = rng.bit_generator.ctypes
+    state, next_uint32 = bits.state_address, bits.next_uint32
+    random = functools.partial(bits.next_double, state)
+
+    def integers(high: int) -> int:
+        # numpy's buffered_bounded_lemire_uint32: reject the low 32 bits
+        # below 2**32 mod high, tested only when they are below high
+        m = next_uint32(state) * high
+        if m & 0xFFFFFFFF < high:
+            threshold = (0x100000000 - high) % high
+            while m & 0xFFFFFFFF < threshold:
+                m = next_uint32(state) * high
+        return m >> 32
+
+    def poisson(lam: float) -> int:
+        if lam >= 10:
+            return int(rng.poisson(lam))
+        if lam == 0:
+            return 0
+        # numpy's random_poisson_mult: count the uniforms whose running
+        # product stays above exp(-lam)
+        limit = math.exp(-lam)
+        x, product = 0, random()
+        while product > limit:
+            x += 1
+            product *= random()
+        return x
+
+    def choice(n: int, k: int) -> list[int]:
+        if n > 10_000 and k > n // 50:
+            # numpy shuffles the tail of a whole range here
+            return rng.choice(n, k, replace=False).tolist()
+        # Floyd's algorithm: for each j from n - k up, a draw from [0, j],
+        # or j itself when the draw is already picked ([0, 0] takes no
+        # draw); then numpy's shuffle of the picks from the top
+        picks, seen = [], set()
+        for j in range(n - k, n):
+            v = integers(j + 1) if j else 0
+            if v in seen:
+                v = j
+            seen.add(v)
+            picks.append(v)
+        for i in range(k - 1, 0, -1):
+            j = integers(i + 1)
+            picks[i], picks[j] = picks[j], picks[i]
+        return picks
+
+    return integers, random, poisson, choice
 
 
 def _columns(flat: list, codes: str) -> list[array]:

@@ -261,10 +261,20 @@ class TestCurveCommand:
         assert not out.exists()
 
 
-@pytest.mark.parametrize("command", [
+FLAG_ERRORS = pytest.mark.parametrize("command", [
     ["curve", "--rho-step", "nan", "--out", "{out}/c.csv"],
     ["network", "--avg-degree", "2.5", "--mode", "absolute", "--out-dir", "{out}"],
-], ids=["curve --rho-step nan", "network --avg-degree --mode absolute"])
+    ["network", "--rho", "1.5", "--out-dir", "{out}"],
+    ["network", "--rho", "nan", "--out-dir", "{out}"],
+    ["network", "--avg-degree", "-1", "--out-dir", "{out}"],
+    ["network", "--avg-degree", "nan", "--out-dir", "{out}"],
+    ["network", "--avg-degree", "inf", "--out-dir", "{out}"],
+], ids=["curve --rho-step nan", "network --avg-degree --mode absolute", "network --rho 1.5",
+        "network --rho nan", "network --avg-degree -1", "network --avg-degree nan",
+        "network --avg-degree inf"])
+
+
+@FLAG_ERRORS
 def test_flag_error_wins_over_an_input_error(tmp_path, capsys, command):
     # the flags are checked before the input is read, so the malformed row
     # is never reached
@@ -273,6 +283,15 @@ def test_flag_error_wins_over_an_input_error(tmp_path, capsys, command):
     out = tmp_path / "out"
     argv = [arg.format(out=out) for arg in command]
     assert main(argv[:1] + ["--input", str(bad)] + argv[1:]) == EXIT_COMPUTE
+    assert "computation error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@FLAG_ERRORS
+def test_flag_error_wins_over_a_missing_input(tmp_path, capsys, command):
+    out = tmp_path / "out"
+    argv = [arg.format(out=out) for arg in command]
+    assert main(argv[:1] + ["--input", str(tmp_path / "missing.csv")] + argv[1:]) == EXIT_COMPUTE
     assert "computation error" in capsys.readouterr().err
     assert not out.exists()
 

@@ -321,6 +321,11 @@ class TestTopM:
         with pytest.raises(ValueError):
             top_m_network(six_bank_matrix, m=1, avg_degree=2.0)
 
+    @pytest.mark.parametrize("avg_degree", [-1.0, math.nan, math.inf])
+    def test_avg_degree_must_be_finite_and_nonnegative(self, six_bank_matrix, avg_degree):
+        with pytest.raises(ValueError, match="average degree must be finite and nonnegative"):
+            top_m_network(six_bank_matrix, avg_degree=avg_degree)
+
     def test_all_pairs_equals_threshold_at_min(self):
         rng = np.random.default_rng(90)
         for _ in range(20):

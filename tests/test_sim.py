@@ -1,5 +1,6 @@
 """The simulator: config checks, the model's steps on the per-period
-reference engine (``tests/sim_reference.py``), and ``run`` against it."""
+reference engine (``tests/sim_reference.py``), ``run`` against it, and
+``run``'s draws against numpy's Generator."""
 
 from collections import Counter
 from dataclasses import fields, replace
@@ -12,7 +13,7 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 from levnet import growth
 from levnet.cli import EXIT_COMPUTE, EXIT_OK, main, write_study_csv
 from levnet.balance_sheet import filter_complete
-from levnet.sim import EVENT_KINDS, ConfigError, SimConfig, bank_label, period_date, run
+from levnet.sim import EVENT_KINDS, ConfigError, SimConfig, _draws, bank_label, period_date, run
 
 from conftest import bank_series
 from sim_reference import (
@@ -389,6 +390,9 @@ ORACLE_FILES = ("panel.csv", "adjacency.csv", "events.csv", "summary.json")
 @example(config=SimConfig(n_banks=12, n_periods=60, arrival_rate=2.5, deposit_bank_count=8,
                           maturity=5, seed=4))
 @example(config=SimConfig(n_banks=10, n_periods=0, deposit_bank_count=9, seed=1))
+@example(config=SimConfig(n_banks=8, n_periods=40, arrival_rate=0.0, maturity=5, seed=2))
+@example(config=SimConfig(n_banks=8, n_periods=40, arrival_rate=12.0, deposit_bank_count=3,
+                          maturity=5, seed=3))
 @given(config=small_configs())
 def test_run_writes_the_reference_engine_bytes(tmp_path_factory, config):
     """``simulate``'s four files and ``study.csv`` from ``run`` equal, byte for
@@ -412,3 +416,93 @@ def test_run_writes_the_reference_engine_bytes(tmp_path_factory, config):
     write_study_csv(study, directory / "reference.csv")
     assert main(study_args) == EXIT_OK
     assert (directory / "study.csv").read_bytes() == (directory / "reference.csv").read_bytes()
+
+
+def assert_same_run(out, reference):
+    """``run``'s output equals the reference engine's, bit for bit."""
+    for mine, theirs in ((out.panel.assets, reference.assets),
+                         (out.panel.liabilities, reference.liabilities),
+                         (out.leverage, reference.leverage)):
+        assert mine.tobytes() == theirs.tobytes()
+    ev = out.events
+    assert list(zip(ev.period, map(EVENT_KINDS.__getitem__, ev.kind), ev.bank,
+                    [c if c >= 0 else None for c in ev.counterparty], ev.amount)) == \
+        [tuple(e) for e in reference.events]
+    links = out.adjacency
+    assert list(zip(links.period, links.lender, links.borrower, links.amount)) == \
+        list(reference.adjacency)
+
+
+@pytest.mark.parametrize("bit_generator, seed", [("PCG64", 0), ("PCG64", 1), ("MT19937", 2)])
+def test_run_at_the_calibrated_size_matches_the_reference_engine(bit_generator, seed):
+    # 80 banks x 5,000 periods: thousands of loans, interbank loans and
+    # shocks; PCG64 is the default stream
+    config = SimConfig(seed=seed)
+    out, reference = (engine(config, np.random.Generator(getattr(np.random, bit_generator)(seed)))
+                      for engine in (run, reference_run))
+    assert out.events.count("loan") > 1_000 and out.adjacency.total_links > 100
+    assert_same_run(out, reference)
+
+
+# -- the draw helper against numpy's Generator -------------------------------
+
+BIT_GENERATORS = ("PCG64", "PCG64DXSM", "MT19937", "Philox", "SFC64")
+DRAWS = ("integers", "random", "poisson", "choice")
+
+
+@st.composite
+def draw_calls(draw):
+    """One call of a ``_draws`` callable or of ``Generator.permutation``, with
+    arguments in its domain, weighted to the edges of numpy's branches."""
+    kind = draw(st.sampled_from(DRAWS + ("permutation",)))
+    if kind == "integers":
+        return kind, draw(st.integers(2, 100) | st.integers(2, 2**32)
+                          | st.sampled_from([2**31, 2**31 + 1, 2**32 - 1, 2**32]))
+    if kind == "random":
+        return (kind,)
+    if kind == "poisson":
+        return kind, draw(st.sampled_from([0.0, 1e-9, 9.99, 10.0, 30.0]) | st.floats(0.0, 40.0))
+    if kind == "choice":
+        # Floyd's algorithm up to 10,000, and above it while k <= n // 50
+        n = draw(st.integers(1, 100) | st.integers(10_001, 20_010))
+        return kind, n, draw(st.integers(0, min(n, 600)))
+    return kind, draw(st.integers(1, 100))
+
+
+def generator_call(rng, call):
+    kind, *args = call
+    if kind == "integers":
+        return int(rng.integers(*args))
+    if kind == "random":
+        return rng.random()
+    if kind == "poisson":
+        return int(rng.poisson(*args))
+    if kind == "choice":
+        return rng.choice(*args, replace=False).tolist()
+    return rng.permutation(*args).tolist()
+
+
+@settings(max_examples=200, deadline=None)
+@example(name="PCG64", seed=1, calls=[("choice", 10_000, 9_999), ("permutation", 79),
+                                      ("integers", 80)])
+@example(name="MT19937", seed=2, calls=[("choice", 10_001, 200), ("random",)])
+@example(name="Philox", seed=3, calls=[("choice", 10_001, 201), ("integers", 3)])
+@example(name="SFC64", seed=4, calls=[("poisson", 0.0), ("poisson", 1e-9), ("poisson", 9.99),
+                                      ("poisson", 10.0), ("poisson", 30.0), ("integers", 7)])
+@example(name="PCG64DXSM", seed=6,
+         calls=[("integers", 2**31), ("integers", 2**31 + 1)] * 4 + [("permutation", 5)])
+@given(name=st.sampled_from(BIT_GENERATORS), seed=st.integers(0, 2**64 - 1),
+       calls=st.lists(draw_calls(), max_size=40))
+def test_draws_return_what_the_generator_returns(name, seed, calls):
+    """``_draws`` calls mixed with ``permutation`` on one Generator give the
+    values, and leave the stream where, a second Generator on the same seed
+    does with its own methods."""
+    bit_generator = getattr(np.random, name)
+    rng, expected = np.random.Generator(bit_generator(seed)), np.random.Generator(bit_generator(seed))
+    draws = dict(zip(DRAWS, _draws(rng)))
+    for call in calls:
+        kind, *args = call
+        got = rng.permutation(*args).tolist() if kind == "permutation" else draws[kind](*args)
+        assert got == generator_call(expected, call), call
+    # the same position, and the same buffered half of a 64-bit output
+    assert rng.integers(2**32, size=3).tolist() == expected.integers(2**32, size=3).tolist()
