@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import datetime
 import functools
-import math
 from array import array
 from dataclasses import dataclass
 
@@ -215,7 +214,7 @@ def run(config: SimConfig, rng: np.random.Generator | None = None) -> SimOutput:
     order of candidate lenders if it needs one (``permutation``) and, once
     granted, the deposit recipients (``choice`` without replacement); then
     the shock draw (``random``) and, if it hits, its bank (``integers``).
-    ``uniform`` and ``permutation`` are Generator calls; ``poisson``,
+    ``uniform``, ``poisson`` and ``permutation`` are Generator calls;
     ``integers``, ``choice`` and ``random`` come from ``_draws``, which runs
     numpy's algorithms for them on the bit generator, so each returns what
     the Generator method would.
@@ -253,8 +252,8 @@ def run(config: SimConfig, rng: np.random.Generator | None = None) -> SimOutput:
     drain = config.shock_factor * loan
     k_deposit = config.deposit_bank_count
     rate, shock_probability = config.arrival_rate, config.shock_probability
-    integers, uniform01, poisson, choice = _draws(rng)
-    permutation = rng.permutation
+    integers, uniform01, choice = _draws(rng)
+    poisson, permutation = rng.poisson, rng.permutation
     due: dict[int, list[tuple[int, int, float]]] = {}
 
     for t in range(1, t_max + 1):
@@ -287,7 +286,7 @@ def run(config: SimConfig, rng: np.random.Generator | None = None) -> SimOutput:
             event((t, _REPAYMENT, i, j, loan))
 
         # 2. loan requests
-        for _ in range(poisson(rate)):
+        for _ in range(int(poisson(rate))):
             i = integers(n)
             j, borrowed = -1, 0.0
             own = liq[i]
@@ -357,7 +356,7 @@ def run(config: SimConfig, rng: np.random.Generator | None = None) -> SimOutput:
 
 
 def _draws(rng: np.random.Generator):
-    """``integers``, ``random``, ``poisson`` and ``choice`` on ``rng``'s stream.
+    """``integers``, ``random`` and ``choice`` on ``rng``'s stream.
 
     Each follows numpy's algorithm for the Generator method of that name,
     drawing through the bit generator's ``ctypes`` interface. That interface
@@ -372,8 +371,6 @@ def _draws(rng: np.random.Generator):
     - ``integers(high)``, 2 <= high <= 2**32: ``Generator.integers(high)``,
       Lemire's method on 32-bit outputs.
     - ``random()``: ``Generator.random()``.
-    - ``poisson(lam)``, lam >= 0: ``Generator.poisson(lam)`` as an int; the
-      multiplication method below 10, the Generator call from 10 up.
     - ``choice(n, k)``, 0 <= k <= n <= 2**32: ``Generator.choice(n, k,
       replace=False)`` as a list; Floyd's algorithm and a shuffle of the
       picks, or the Generator call where numpy shuffles a whole range.
@@ -391,20 +388,6 @@ def _draws(rng: np.random.Generator):
             while m & 0xFFFFFFFF < threshold:
                 m = next_uint32(state) * high
         return m >> 32
-
-    def poisson(lam: float) -> int:
-        if lam >= 10:
-            return int(rng.poisson(lam))
-        if lam == 0:
-            return 0
-        # numpy's random_poisson_mult: count the uniforms whose running
-        # product stays above exp(-lam)
-        limit = math.exp(-lam)
-        x, product = 0, random()
-        while product > limit:
-            x += 1
-            product *= random()
-        return x
 
     def choice(n: int, k: int) -> list[int]:
         if n > 10_000 and k > n // 50:
@@ -425,7 +408,7 @@ def _draws(rng: np.random.Generator):
             picks[i], picks[j] = picks[j], picks[i]
         return picks
 
-    return integers, random, poisson, choice
+    return integers, random, choice
 
 
 def _columns(flat: list, codes: str) -> list[array]:
