@@ -17,7 +17,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from levnet.cli import (
-    _atomic_write, _fmt, _rho_grid, read_sim_config, write_curve_csv, write_study_csv,
+    _fmt, _rho_grid, _write, read_sim_config, write_curve_csv, write_study_csv,
 )
 from levnet.growth import replication_study
 from levnet.network import cluster_curve, components, leverage_correlation, threshold_network
@@ -34,26 +34,25 @@ def main() -> None:
 
     config = read_sim_config(args.config) if args.config else SimConfig()
     out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
 
     grid = _rho_grid(0.0, 1.0, 0.01)
-    with _atomic_write(out / "mean_traces.csv") as traces, \
-            _atomic_write(out / "topology.csv") as topo:
-        traces.write("seed,period,mean_assets,mean_leverage\n")
-        topo.write("seed,n,n_edges,largest_fraction,n_isolated,n_components\n")
-        for seed in range(args.seeds):
-            output = run(replace(config, seed=seed))
-            for t, (a, l) in enumerate(zip(output.mean_assets, output.mean_leverage)):
-                traces.write(f"{seed},{t},{_fmt(a)},{_fmt(l)}\n")
-            matrix = leverage_correlation(output.panel)
-            write_curve_csv(cluster_curve(matrix, grid), out / f"curve_seed{seed}.csv")
-            net = threshold_network(matrix, 0.8)
-            part = components(net)
-            topo.write(f"{seed},{part.n},{net.n_edges},{_fmt(part.largest_fraction)},"
-                       f"{part.n_isolated},{part.n_components}\n")
-            print(f"seed {seed}: growth {output.assets_growth:.2f}, "
-                  f"final mean leverage {output.mean_leverage[-1]:.2f}, "
-                  f"largest cluster at 0.8: {part.largest_fraction:.2f}")
+    traces = ["seed,period,mean_assets,mean_leverage\n"]
+    topology = ["seed,n,n_edges,largest_fraction,n_isolated,n_components\n"]
+    for seed in range(args.seeds):
+        output = run(replace(config, seed=seed))
+        traces += (f"{seed},{t},{_fmt(a)},{_fmt(l)}\n"
+                   for t, (a, l) in enumerate(zip(output.mean_assets, output.mean_leverage)))
+        matrix = leverage_correlation(output.panel)
+        write_curve_csv(cluster_curve(matrix, grid), out / f"curve_seed{seed}.csv")
+        net = threshold_network(matrix, 0.8)
+        part = components(net)
+        topology.append(f"{seed},{part.n},{net.n_edges},{_fmt(part.largest_fraction)},"
+                        f"{part.n_isolated},{part.n_components}\n")
+        print(f"seed {seed}: growth {output.assets_growth:.2f}, "
+              f"final mean leverage {output.mean_leverage[-1]:.2f}, "
+              f"largest cluster at 0.8: {part.largest_fraction:.2f}")
+    _write(out / "mean_traces.csv", traces)
+    _write(out / "topology.csv", topology)
 
     write_study_csv(replication_study(config, args.runs), out / "study.csv")
     print(f"wrote {args.seeds} curves, traces, topology and a {args.runs}-run study to {out}/")

@@ -20,8 +20,8 @@ import math
 import os
 import sys
 from array import array
-from contextlib import contextmanager
-from dataclasses import dataclass, fields, replace
+from collections.abc import Iterable
+from dataclasses import asdict, dataclass, fields, replace
 from itertools import chain, compress, repeat
 from pathlib import Path
 
@@ -88,18 +88,18 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-@contextmanager
-def _atomic_write(path: Path):
-    """A text file for writing ``path``: a sibling temp file that replaces
-    ``path`` when the block ends, and is removed if the block raises, so that
-    ``path`` keeps its old bytes or has all the new ones. Lines end in LF on
-    every platform."""
+def _write(path: Path, chunks: Iterable[str]) -> None:
+    """Write the strings ``chunks`` yields to ``path``, making its directory.
+    They go to a sibling temp file that replaces ``path`` after the last
+    chunk, and is removed if a chunk raises, so that ``path`` keeps its old
+    bytes or has all the new ones. Lines end in LF on every platform."""
     path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f".{path.name}.{os.urandom(4).hex()}.tmp")
     fh = open(tmp, "x", encoding="utf-8", newline="")
     try:
         with fh:
-            yield fh
+            fh.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -380,8 +380,9 @@ def write_panel_csv(panel: bs.Panel, path: Path) -> None:
     # each run's pair and row count, in file order
     run_a, run_l = assets.T[start.T], liabilities.T[start.T]
     run_rows = np.diff(np.flatnonzero(start.T[seen.T]), append=np.count_nonzero(seen))
-    with _atomic_write(path) as fh:
-        fh.write("bank_id,date,assets,liabilities\n")
+
+    def chunks():
+        yield "bank_id,date,assets,liabilities\n"
         hi = 0
         for k, (bank, n_rows, n_runs) in enumerate(zip(
                 panel.bank_ids, seen.sum(axis=0).tolist(), start.sum(axis=0).tolist())):
@@ -390,33 +391,33 @@ def write_panel_csv(panel: bs.Panel, path: Path) -> None:
             pieces = [_csv_field(bank)] * (3 * n_rows)
             pieces[1::3] = compress(dates, seen[:, k].tolist())
             pieces[2::3] = chain.from_iterable(map(repeat, pairs, run_rows[lo:hi].tolist()))
-            fh.write("".join(pieces))
+            yield "".join(pieces)
+
+    _write(path, chunks())
 
 
 def write_curve_csv(curve: net.ClusterCurve, path: Path) -> None:
-    with _atomic_write(path) as fh:
-        fh.write("rho,largest_fraction\n")
-        for rho, frac in curve.points:
-            fh.write(f"{_fmt(rho)},{_fmt(frac)}\n")
+    _write(path, chain(["rho,largest_fraction\n"],
+                       (f"{_fmt(rho)},{_fmt(frac)}\n" for rho, frac in curve.points)))
 
 
 def write_study_csv(study: ReplicationStudy, path: Path) -> None:
     """One row per bank and run; the top pair's roles are pair1 and pair2."""
-    with _atomic_write(path) as fh:
-        fh.write("run,bank_id,role,leverage_growth,assets_growth,"
-                 "population_median_assets_growth,population_median_leverage_growth\n")
+    def chunks():
+        yield ("run,bank_id,role,leverage_growth,assets_growth,"
+               "population_median_assets_growth,population_median_leverage_growth\n")
         for rec in study.run_records:
             roles = {rec.bank_a: "pair1", rec.bank_b: "pair2"}
             for g in rec.records:
-                fh.write(f"{rec.run_index},{g.bank_id},{roles.get(g.bank_id, 'population')},"
-                         f"{_fmt(g.leverage_growth)},{_fmt(g.assets_growth)},"
-                         f"{_fmt(rec.median_assets_growth)},{_fmt(rec.median_leverage_growth)}\n")
+                yield (f"{rec.run_index},{g.bank_id},{roles.get(g.bank_id, 'population')},"
+                       f"{_fmt(g.leverage_growth)},{_fmt(g.assets_growth)},"
+                       f"{_fmt(rec.median_assets_growth)},{_fmt(rec.median_leverage_growth)}\n")
+
+    _write(path, chunks())
 
 
 def _write_json(obj: dict, path: Path) -> None:
-    with _atomic_write(path) as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True, allow_nan=False)
-        fh.write("\n")
+    _write(path, [json.dumps(obj, indent=2, sort_keys=True, allow_nan=False), "\n"])
 
 
 # -- simulation config file ----------------------------------------------
@@ -504,15 +505,11 @@ def cmd_ingest(args: argparse.Namespace) -> int:
                       args.assets_col, args.liabilities_col, args.mode)
     result = ingest_panel(spec)
     out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     write_panel_csv(result.complete, out / "panel.csv")
-    c = result.census
-    _write_json({"census": {"n_start": c.n_start, "n_end": c.n_end,
-                            "n_birth": c.n_birth, "n_death": c.n_death,
-                            "n_complete": c.n_complete},
-                 "validation": result.report}, out / "census.json")
+    _write_json({"census": asdict(result.census), "validation": result.report},
+                out / "census.json")
     print(f"ingested {result.report['n_banks_valid']} banks "
-          f"({c.n_complete} complete) -> {out}")
+          f"({result.census.n_complete} complete) -> {out}")
     return EXIT_OK
 
 
@@ -539,16 +536,11 @@ def cmd_network(args: argparse.Namespace) -> int:
     part = net.components(network)
 
     out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     names = [_csv_field(bank) for bank in network.nodes]
-    with _atomic_write(out / "edges.csv") as fh:
-        fh.write("bank_a,bank_b,r\n")
-        for i, j, r in network.edges:
-            fh.write(f"{names[i]},{names[j]},{_fmt(r)}\n")
-    with _atomic_write(out / "components.csv") as fh:
-        fh.write("bank_id,component_id,component_size\n")
-        for bank, comp in zip(names, part.assignment):
-            fh.write(f"{bank},{comp},{part.sizes[comp]}\n")
+    _write(out / "edges.csv", chain(["bank_a,bank_b,r\n"], (
+        f"{names[i]},{names[j]},{_fmt(r)}\n" for i, j, r in network.edges)))
+    _write(out / "components.csv", chain(["bank_id,component_id,component_size\n"], (
+        f"{bank},{comp},{part.sizes[comp]}\n" for bank, comp in zip(names, part.assignment))))
     _write_json({"n": network.n, "n_edges": network.n_edges,
                  "target_edges": network.target_edges,
                  "avg_degree": network.avg_degree,
@@ -595,7 +587,6 @@ def cmd_curve(args: argparse.Namespace) -> int:
     grid = _rho_grid(args.rho_min, args.rho_max, args.rho_step)
     curve = net.cluster_curve(_load_matrix(args.input), grid, args.mode)
     out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
     write_curve_csv(curve, out)
     print(f"curve: {len(curve.points)} thresholds -> {out}")
     return EXIT_OK
@@ -605,20 +596,17 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
     output: SimOutput = run(config)
     out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     write_panel_csv(output.panel, out / "panel.csv")
     ids, links, events = output.panel.bank_ids, output.adjacency, output.events
-    with _atomic_write(out / "adjacency.csv") as fh:
-        fh.write("period,lender_id,borrower_id,amount\n")
-        for t, a, b, x in zip(links.period, links.lender, links.borrower, links.amount):
-            fh.write(f"{t},{ids[a]},{ids[b]},{_fmt(x)}\n")
+    _write(out / "adjacency.csv", chain(["period,lender_id,borrower_id,amount\n"], (
+        f"{t},{ids[a]},{ids[b]},{_fmt(x)}\n"
+        for t, a, b, x in zip(links.period, links.lender, links.borrower, links.amount))))
     # a counterparty of -1 (none) picks the empty name at the end
     names = (*ids, "")
-    with _atomic_write(out / "events.csv") as fh:
-        fh.write("period,event,bank_a,bank_b,amount\n")
+    _write(out / "events.csv", chain(["period,event,bank_a,bank_b,amount\n"], (
+        f"{t},{EVENT_KINDS[k]},{ids[a]},{names[b]},{_fmt(x)}\n"
         for t, k, a, b, x in zip(events.period, events.kind, events.bank,
-                                 events.counterparty, events.amount):
-            fh.write(f"{t},{EVENT_KINDS[k]},{ids[a]},{names[b]},{_fmt(x)}\n")
+                                 events.counterparty, events.amount))))
     tail = min(1000, config.n_periods)
     _write_json({"seed": config.seed, "n_banks": config.n_banks,
                  "n_periods": config.n_periods,
@@ -639,7 +627,6 @@ def cmd_study(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
     study: ReplicationStudy = replication_study(config, args.runs)
     out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
     write_study_csv(study, out)
     print(f"study: {study.runs} replications -> {out}")
     return EXIT_OK

@@ -60,7 +60,8 @@ def pearson(x: Sequence[float] | np.ndarray, y: Sequence[float] | np.ndarray) ->
 
     Returns NaN (the undefined marker) when either series has zero
     variance: every value equals its first, or its sum of squares about
-    the mean is 0. The result is clipped to [-1, 1].
+    the mean is 0, and when either series holds a NaN or an infinity. The
+    result is clipped to [-1, 1].
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -79,7 +80,8 @@ def pearson(x: Sequence[float] | np.ndarray, y: Sequence[float] | np.ndarray) ->
     denom = sxx * syy
     denom = math.sqrt(denom) if _TINY <= denom < math.inf else math.sqrt(sxx) * math.sqrt(syy)
     r = float(np.dot(xc, yc)) / denom
-    return min(1.0, max(-1.0, r))
+    # np.clip keeps a NaN, as in _correlation; min and max would give -1.0
+    return float(np.clip(r, -1.0, 1.0))
 
 
 @dataclass(frozen=True, eq=False)

@@ -84,6 +84,13 @@ class TestPearson:
         assert math.isnan(pearson([1.0, 1.0, 1.0], [1.0, 2.0, 3.0]))
         assert math.isnan(pearson([1.0, 2.0, 3.0], [5.0, 5.0, 5.0]))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_value_is_nan(self, bad):
+        x, y = [bad, 1.0, 2.0], [1.0, 2.0, 3.0]
+        with np.errstate(invalid="ignore"):
+            assert math.isnan(pearson(x, y)) and math.isnan(pearson(y, x))
+            assert math.isnan(_correlation(("a", "b"), np.array([x, y])).entry(0, 1))
+
     def test_errors(self):
         with pytest.raises(ValueError):
             pearson([1.0, 2.0], [1.0, 2.0, 3.0])

@@ -1,5 +1,6 @@
 """The run-at-a-time panel writer against the row-at-a-time reference, and
-outputs that a failed write leaves as they were."""
+the one write path: outputs that a failed write leaves as they were, missing
+directories made, LF line ends and no temp file left."""
 
 import os
 from types import SimpleNamespace
@@ -10,8 +11,10 @@ from hypothesis import example, given, settings, strategies as st
 
 from levnet import cli
 from levnet.balance_sheet import Panel
-from levnet.cli import _csv_field, write_panel_csv
-from levnet.sim import period_date
+from levnet.cli import EXIT_OK, _csv_field, main, write_curve_csv, write_panel_csv, write_study_csv
+from levnet.growth import replication_study
+from levnet.network import ClusterCurve
+from levnet.sim import SimConfig, period_date
 
 
 def reference_write_panel_csv(panel, path):
@@ -123,3 +126,49 @@ def test_a_finished_write_replaces_the_file_and_leaves_no_temp_file(tmp_path):
     assert os.listdir(tmp_path) == ["panel.csv"]
     assert path.read_text(encoding="utf-8").splitlines()[:2] == [
         "bank_id,date,assets,liabilities", f"a,{period_date(0)},2.0,1.0"]
+
+
+@pytest.mark.parametrize("writer", ["panel", "curve", "study", "json"])
+def test_a_writer_makes_the_missing_directories(tmp_path, writer):
+    path = tmp_path / "a" / "b" / "out"
+    if writer == "panel":
+        write_panel_csv(_four_banks(), path)
+    elif writer == "curve":
+        write_curve_csv(ClusterCurve(((0.0, 1.0), (0.5, 0.25))), path)
+    elif writer == "study":
+        write_study_csv(replication_study(SimConfig(n_banks=8, n_periods=40, seed=5), 1), path)
+    else:
+        cli._write_json({"a": 1}, path)
+    assert os.listdir(path.parent) == ["out"]
+    assert path.read_bytes().endswith(b"\n")
+
+
+SIM = ["--seed", "5", "--n-banks", "8", "--n-periods", "120"]
+COMMANDS = {
+    "ingest": (["ingest", "--input", "{panel}", "--out-dir", "{out}"], ["census.json", "panel.csv"]),
+    "network": (["network", "--input", "{panel}", "--avg-degree", "2", "--out-dir", "{out}"],
+                ["components.csv", "edges.csv", "summary.json"]),
+    "curve": (["curve", "--input", "{panel}", "--out", "{out}/curve.csv"], ["curve.csv"]),
+    "simulate": (["simulate", *SIM, "--out-dir", "{out}"],
+                 ["adjacency.csv", "events.csv", "panel.csv", "summary.json"]),
+    "study": (["study", *SIM, "--runs", "2", "--out", "{out}/study.csv"], ["study.csv"]),
+}
+
+
+@pytest.fixture(scope="module")
+def sim_panel(tmp_path_factory):
+    out = tmp_path_factory.mktemp("sim")
+    assert main(["simulate", *SIM, "--out-dir", str(out)]) == EXIT_OK
+    return out / "panel.csv"
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_each_command_writes_lf_files_under_missing_directories(tmp_path, sim_panel, command):
+    argv, names = COMMANDS[command]
+    out = tmp_path / "a" / "b"
+    assert main([arg.format(panel=sim_panel, out=out) for arg in argv]) == EXIT_OK
+    # every file, and no hidden temp file beside them
+    assert sorted(os.listdir(out)) == names
+    for name in names:
+        data = (out / name).read_bytes()
+        assert b"\r" not in data and data.endswith(b"\n")
