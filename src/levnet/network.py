@@ -54,6 +54,10 @@ class InsufficientPairsError(ValueError):
 # the smallest normal float: a product of sums of squares below it has lost bits
 _TINY = float(np.finfo(np.float64).tiny)
 
+# cells of the correlation matrix divided per block of rows: the block's
+# temporaries stay near 0.5 MiB whatever the bank count
+_BLOCK_CELLS = 2 ** 16
+
 
 def pearson(x: Sequence[float] | np.ndarray, y: Sequence[float] | np.ndarray) -> float:
     """Pearson correlation coefficient of two equal-length series.
@@ -127,15 +131,36 @@ def _pairs(matrix: CorrelationMatrix, mode: LinkMode = "signed") -> tuple[np.nda
     return ii, jj, r, _strength(r, mode)
 
 
-def _strength(r: np.ndarray, mode: LinkMode) -> np.ndarray:
-    """Link strength of coefficients r: r in signed mode, |r| in absolute mode."""
+def _check_mode(mode: LinkMode) -> None:
     if mode not in ("signed", "absolute"):
         raise ValueError(f"unknown link mode {mode!r}")
+
+
+def _strength(r: np.ndarray, mode: LinkMode) -> np.ndarray:
+    """Link strength of coefficients r: r in signed mode, |r| in absolute mode."""
+    _check_mode(mode)
     return r if mode == "signed" else np.abs(r)
 
 
+def _root_products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """sqrt(a_i * b_j) for every i and j, or sqrt(a_i) * sqrt(b_j) where the
+    product is outside the normal range and so lost its bits."""
+    denom = np.multiply.outer(a, b)
+    # a block whose products are all normal needs no mask (NaN fails both tests)
+    if _TINY <= denom.min() and denom.max() < math.inf:
+        return np.sqrt(denom, out=denom)
+    ii, jj = np.nonzero((denom < _TINY) | (denom == math.inf))
+    np.sqrt(denom, out=denom)
+    denom[ii, jj] = np.sqrt(a[ii]) * np.sqrt(b[jj])
+    return denom
+
+
 def _correlation(bank_ids: tuple[str, ...], X: np.ndarray) -> CorrelationMatrix:
-    """Pearson matrix of the rows of the C-contiguous (banks x dates) array X."""
+    """Pearson matrix of the rows of the C-contiguous (banks x dates) array X.
+
+    The cross products are divided in place, a block of rows at a time, so
+    no n x n temporary is held beside the matrix.
+    """
     if len(bank_ids) < 2:
         raise ValueError(f"need at least 2 series, got {len(bank_ids)}")
     if X.shape[1] < 2:
@@ -147,19 +172,21 @@ def _correlation(bank_ids: tuple[str, ...], X: np.ndarray) -> CorrelationMatrix:
     Xc = X - X.mean(axis=1, keepdims=True)
     sq = np.einsum("ij,ij->i", Xc, Xc)
     flat |= sq == 0.0
-    cross = Xc @ Xc.T
-    # mirror the upper triangle so symmetry is exact, not up to BLAS rounding
-    iu = np.triu_indices(len(bank_ids), k=1)
-    cross[(iu[1], iu[0])] = cross[iu]
-    denom = np.outer(sq, sq)
-    # a product outside the normal range lost its bits: multiply the roots there
-    ii, jj = np.nonzero((denom < _TINY) | (denom == math.inf))
-    np.sqrt(denom, out=denom)
-    root = np.sqrt(sq)
-    denom[ii, jj] = root[ii] * root[jj]
-    with np.errstate(invalid="ignore", divide="ignore"):
-        vals = cross / denom
-    np.clip(vals, -1.0, 1.0, out=vals)
+    vals = Xc @ Xc.T
+    del Xc
+    n = len(bank_ids)
+    step = max(1, _BLOCK_CELLS // n)
+    for lo in range(0, n, step):
+        hi = min(lo + step, n)
+        upper = vals[lo:hi, lo:]
+        with np.errstate(invalid="ignore", divide="ignore"):
+            np.divide(upper, _root_products(sq[lo:hi], sq[lo:]), out=upper)
+        np.clip(upper, -1.0, 1.0, out=upper)
+        # the lower triangle is copied from the upper, so symmetry is exact,
+        # not up to BLAS rounding: left of the block, then inside it
+        vals[lo:hi, :lo] = vals[:lo, lo:hi].T
+        for i in range(lo + 1, hi):
+            vals[i, lo:i] = vals[lo:i, i]
     vals[flat, :] = math.nan
     vals[:, flat] = math.nan
     np.fill_diagonal(vals, 1.0)
@@ -214,9 +241,15 @@ def threshold_network(matrix: CorrelationMatrix, rho: float,
                       mode: LinkMode = "signed") -> LeverageNetwork:
     """Link every defined pair whose coefficient clears rho (inclusive)."""
     _check_threshold(rho)
-    ii, jj, r, strength = _pairs(matrix, mode)
-    keep = strength >= rho
-    edges = tuple(zip(ii[keep].tolist(), jj[keep].tolist(), r[keep].tolist()))
+    _check_mode(mode)
+    vals = matrix.values
+    # NaN compares False, so an undefined pair is never linked; r <= -rho is
+    # |r| >= rho for a negative r, with no |r| copy of the matrix
+    keep = vals >= rho
+    if mode == "absolute":
+        keep |= vals <= -rho
+    ii, jj = np.nonzero(np.triu(keep, k=1))  # row-major: pair order
+    edges = tuple(zip(ii.tolist(), jj.tolist(), vals[ii, jj].tolist()))
     return LeverageNetwork(matrix.bank_ids, edges, float(rho), mode)
 
 
@@ -236,7 +269,8 @@ def top_m_network(matrix: CorrelationMatrix, m: int | None = None,
         m = int(math.floor(avg_degree * matrix.n / 2.0 + 0.5))
     if m < 0:
         raise ValueError(f"edge count must be nonnegative, got {m}")
-    r = _pairs(matrix)[2]
+    # the defined upper-triangle coefficients, in pair order
+    r = matrix.values[np.triu(~np.isnan(matrix.values), k=1)]
     if m > len(r):
         raise InsufficientPairsError(
             f"requested {m} edges but only {len(r)} defined pairs exist")
@@ -332,11 +366,13 @@ class ClusterCurve:
         return float(rh[k]), float(rh[k + 1]), float(drops[k])
 
 
-def _spanning_forest(strength: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Edges (i, j) and weights of a maximum spanning forest of a dense
-    symmetric strength matrix, by Prim's algorithm. A NaN pair is never
-    linked, and the diagonal is not read."""
-    n = len(strength)
+def _spanning_forest(values: np.ndarray,
+                     mode: LinkMode) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Edges (i, j) and weights of a maximum spanning forest of the link
+    strengths (r, or |r| in absolute mode) of a dense symmetric coefficient
+    matrix, by Prim's algorithm. A NaN pair is never linked, and the
+    diagonal is not read."""
+    n = len(values)
     best = np.full(n, -np.inf)  # the strongest link from the tree to each node
     source = np.zeros(n, dtype=np.intp)  # the tree node at the other end
     unseen = np.ones(n, dtype=bool)
@@ -353,7 +389,7 @@ def _spanning_forest(strength: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.n
             weights.append(best[k])
         unseen[k] = False
         best[k] = -np.inf
-        row = strength[k]
+        row = _strength(values[k], mode)
         # NaN compares False, so an undefined pair never becomes a link
         np.greater(row, best, out=better)
         better &= unseen
@@ -377,7 +413,8 @@ def cluster_curve(matrix: CorrelationMatrix, rho_grid: Iterable[float],
         raise ValueError("rho grid must be strictly increasing")
     if not all(-1.0 <= rho <= 1.0 for rho in rhos):
         raise ValueError(f"thresholds must lie in [-1, 1], got [{rhos[0]}, {rhos[-1]}]")
-    ii, jj, weights = _spanning_forest(_strength(matrix.values, mode))
+    _check_mode(mode)
+    ii, jj, weights = _spanning_forest(matrix.values, mode)
     order = np.argsort(-weights, kind="stable")
     ii, jj = ii[order], jj[order]
     # the edges that clear each rho form a prefix of the ranking

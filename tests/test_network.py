@@ -1,13 +1,18 @@
 import math
+import tracemalloc
 from collections import deque
+from itertools import compress
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from levnet.balance_sheet import EmptyPanelWarning, _leverage_matrix, filter_complete
+from levnet import network
+from levnet.balance_sheet import EmptyPanelWarning, Panel, _leverage_matrix, filter_complete
 from levnet.growth import NoDefinedPairsError, most_correlated_pair
 from levnet.network import (
+    _TINY,
     CorrelationMatrix,
     InsufficientPairsError,
     LeverageNetwork,
@@ -243,6 +248,119 @@ class TestConstantBanks:
         m = _correlation(("x", "y"), np.array([x * 1e-150, y * scale]))
         assert m.entry(0, 1) == pytest.approx(pearson(x, y), abs=1e-12)
         assert pearson(x * 1e-150, y * scale) == pytest.approx(pearson(x, y), abs=1e-12)
+
+
+def dense_correlation_oracle(bank_ids, X):
+    """The dense kernel the blocked one replaced: the whole cross-product
+    matrix mirrored by ``triu_indices``, one ``outer`` product of the sums of
+    squares and one division; returns the values and the constant banks."""
+    flat = (X == X[:, :1]).all(axis=1)
+    Xc = X - X.mean(axis=1, keepdims=True)
+    sq = np.einsum("ij,ij->i", Xc, Xc)
+    flat |= sq == 0.0
+    cross = Xc @ Xc.T
+    iu = np.triu_indices(len(bank_ids), k=1)
+    cross[(iu[1], iu[0])] = cross[iu]
+    denom = np.outer(sq, sq)
+    ii, jj = np.nonzero((denom < _TINY) | (denom == math.inf))
+    np.sqrt(denom, out=denom)
+    root = np.sqrt(sq)
+    denom[ii, jj] = root[ii] * root[jj]
+    with np.errstate(invalid="ignore", divide="ignore"):
+        vals = cross / denom
+    np.clip(vals, -1.0, 1.0, out=vals)
+    vals[flat, :] = math.nan
+    vals[:, flat] = math.nan
+    np.fill_diagonal(vals, 1.0)
+    return vals, tuple(compress(bank_ids, flat))
+
+
+def kernel_rows(seed, n, n_dates, n_constant=0, tiny_row=False, bad=()):
+    """Random-walk (banks x dates) rows: ``n_constant`` constant rows, one row
+    scaled by 1e-160 when ``tiny_row`` (its products with the others leave
+    the normal range), and one random cell set to each value in ``bad``."""
+    rng = np.random.default_rng(seed)
+    X = np.cumsum(rng.normal(size=(n, n_dates)), axis=1)
+    X[rng.choice(n, size=n_constant, replace=False)] = 2.5
+    if tiny_row:
+        X[rng.integers(n)] *= 1e-160
+    for value in bad:
+        X[rng.integers(n), rng.integers(n_dates)] = value
+    return X
+
+
+@st.composite
+def kernel_inputs(draw):
+    n = draw(st.integers(min_value=2, max_value=300))
+    return kernel_rows(draw(st.integers(min_value=0, max_value=2 ** 32 - 1)), n,
+                       draw(st.integers(min_value=2, max_value=40)),
+                       draw(st.integers(min_value=0, max_value=min(n, 3))),
+                       draw(st.booleans()),
+                       draw(st.lists(st.sampled_from([math.nan, math.inf, -math.inf]),
+                                     max_size=3)))
+
+
+class TestBlockedKernel:
+    # _BLOCK_CELLS from one row per block, so blocks split mid-matrix, up to
+    # the whole matrix in one block
+    @settings(max_examples=80, deadline=None)
+    @given(kernel_inputs(), st.sampled_from([1, 7, 300, 2 ** 12, 2 ** 16]))
+    @example(kernel_rows(0, 50, 12, n_constant=2, tiny_row=True), 300)
+    @example(kernel_rows(1, 50, 12, tiny_row=True, bad=[math.nan, math.inf]), 7)
+    @example(kernel_rows(2, 300, 30, n_constant=3, tiny_row=True, bad=[-math.inf]), 2 ** 12)
+    def test_equals_dense_oracle_bit_for_bit(self, X, cells):
+        ids = tuple(f"N{i:03d}" for i in range(len(X)))
+        with np.errstate(all="ignore"), mock.patch.object(network, "_BLOCK_CELLS", cells):
+            m = _correlation(ids, X)
+            vals, zero_variance = dense_correlation_oracle(ids, X)
+        assert m.zero_variance == zero_variance
+        assert np.array_equal(m.values.view(np.int64), vals.view(np.int64))
+
+
+class TestNetworkMemory:
+    """Traced peak allocation of the network layer on a 400-bank x 60-date
+    panel, in units of n x n doubles: the layer holds one such matrix."""
+
+    N_BANKS, N_DATES = 400, 60
+
+    @pytest.fixture(scope="class")
+    def panel(self):
+        rng = np.random.default_rng(2024)
+        shape = (self.N_DATES, self.N_BANKS)
+        assets = 100.0 + np.cumsum(rng.uniform(0.0, 1.0, size=shape), axis=0)
+        return Panel("p", tuple(f"B{k:03d}" for k in range(self.N_BANKS)),
+                     tuple(f"d{t:02d}" for t in range(self.N_DATES)),
+                     assets, assets * rng.uniform(0.5, 0.95, size=shape))
+
+    def peak(self, f):
+        """Peak bytes traced while f runs, above those held before, in n x n doubles."""
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            f()
+            return (tracemalloc.get_traced_memory()[1] - base) / (8 * self.N_BANKS ** 2)
+        finally:
+            tracemalloc.stop()
+
+    def test_correlation_holds_one_matrix_and_one_block(self, panel):
+        # the matrix, the (banks x dates) leverage rows built from the panel
+        # (0.15 here) and a block of 2^16 cells (0.41 here, less at more banks)
+        rows = self.N_DATES / self.N_BANKS
+        assert self.peak(lambda: leverage_correlation(panel)) <= 1.6 + rows
+
+    def test_top_m_holds_the_pairs_and_one_copy(self, panel):
+        matrix = leverage_correlation(panel)
+        assert self.peak(lambda: top_m_network(matrix, avg_degree=2.5)) <= 1.05
+
+    def test_absolute_threshold_holds_only_masks(self, panel):
+        # boolean masks, n x n bytes (0.125) each
+        matrix = leverage_correlation(panel)
+        assert self.peak(lambda: threshold_network(matrix, 0.9, "absolute")) <= 0.5
+
+    def test_absolute_curve_holds_no_float_matrix(self, panel):
+        matrix = leverage_correlation(panel)
+        grid = [round(0.01 * k, 10) for k in range(101)]
+        assert self.peak(lambda: cluster_curve(matrix, grid, "absolute")) <= 0.25
 
 
 class TestThresholdNetwork:
@@ -589,12 +707,15 @@ class TestSingleSweepOracles:
                     == curve_oracle(matrix, UNIT_GRID, mode))
 
     @settings(max_examples=60, deadline=None)
-    @given(tied_matrices)
-    def test_threshold_equals_mask_scan(self, matrix):
+    @given(tied_matrices, st.floats(min_value=-1.0, max_value=1.0))
+    @example(zero_signed_matrix(11, 8), 0.0)
+    @example(zero_signed_matrix(11, 8), -0.0)
+    @example(zero_signed_matrix(11, 8), -0.5)
+    def test_threshold_equals_mask_scan(self, matrix, rho):
         for mode in ("signed", "absolute"):
-            for rho in SIGNED_GRID:
-                net = threshold_network(matrix, rho, mode)
-                assert net.edges == threshold_oracle(matrix, rho, mode)
+            for r in (*SIGNED_GRID, rho):
+                net = threshold_network(matrix, r, mode)
+                assert net.edges == threshold_oracle(matrix, r, mode)
 
     @settings(max_examples=40, deadline=None)
     @given(tied_matrices)
