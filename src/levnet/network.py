@@ -119,16 +119,14 @@ class CorrelationMatrix:
 
     def defined_pairs(self) -> Iterator[tuple[int, int, float]]:
         """Upper-triangle (i, j, r) triples with a defined coefficient, in lexicographic order."""
-        ii, jj, r, _ = _pairs(self)
+        ii, jj, r = _pairs(self)
         yield from zip(ii.tolist(), jj.tolist(), r.tolist())
 
 
-def _pairs(matrix: CorrelationMatrix, mode: LinkMode = "signed") -> tuple[np.ndarray, ...]:
-    """Defined upper-triangle pairs as arrays (i, j, r) in lexicographic order,
-    plus each pair's link strength: r in signed mode, |r| in absolute mode."""
+def _pairs(matrix: CorrelationMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Defined upper-triangle pairs as arrays (i, j, r) in lexicographic order."""
     ii, jj = np.nonzero(np.triu(~np.isnan(matrix.values), k=1))  # row-major
-    r = matrix.values[ii, jj]
-    return ii, jj, r, _strength(r, mode)
+    return ii, jj, matrix.values[ii, jj]
 
 
 def _check_mode(mode: LinkMode) -> None:
@@ -136,19 +134,10 @@ def _check_mode(mode: LinkMode) -> None:
         raise ValueError(f"unknown link mode {mode!r}")
 
 
-def _strength(r: np.ndarray, mode: LinkMode) -> np.ndarray:
-    """Link strength of coefficients r: r in signed mode, |r| in absolute mode."""
-    _check_mode(mode)
-    return r if mode == "signed" else np.abs(r)
-
-
 def _root_products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """sqrt(a_i * b_j) for every i and j, or sqrt(a_i) * sqrt(b_j) where the
     product is outside the normal range and so lost its bits."""
     denom = np.multiply.outer(a, b)
-    # a block whose products are all normal needs no mask (NaN fails both tests)
-    if _TINY <= denom.min() and denom.max() < math.inf:
-        return np.sqrt(denom, out=denom)
     ii, jj = np.nonzero((denom < _TINY) | (denom == math.inf))
     np.sqrt(denom, out=denom)
     denom[ii, jj] = np.sqrt(a[ii]) * np.sqrt(b[jj])
@@ -389,7 +378,7 @@ def _spanning_forest(values: np.ndarray,
             weights.append(best[k])
         unseen[k] = False
         best[k] = -np.inf
-        row = _strength(values[k], mode)
+        row = np.abs(values[k]) if mode == "absolute" else values[k]
         # NaN compares False, so an undefined pair never becomes a link
         np.greater(row, best, out=better)
         better &= unseen
