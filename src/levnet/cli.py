@@ -112,9 +112,16 @@ def _csv_field(text: str) -> str:
     return buf.getvalue()[:-2]
 
 
-# a plain file is read this many characters at a time: larger blocks read no
+# a plain file is read this many bytes at a time: larger blocks read no
 # faster and raise the peak resident set of the commands that ingest
-_BLOCK_CHARS = 1 << 14
+_BLOCK_BYTES = 1 << 14
+
+# a plain file is split into line-aligned byte ranges, one per allowed CPU,
+# each of at least this size. On the 80 x 5,000 simulated panel (2-vCPU
+# x86-64) parsing takes about 18 ns a byte; a child costs about 2.5 ms to
+# fork, reap and merge, plus about 1 ns a byte to send and merge its columns.
+# A 4 MiB range keeps that fixed cost near 3% of the parse time it saves
+_MIN_RANGE_BYTES = 1 << 22
 
 # ingest refuses a dense store over both limits: a sparse file (many banks,
 # each on its own dates) would otherwise allocate dates x banks cells
@@ -132,6 +139,28 @@ class _Columns:
         self.days: list[datetime.date] = []
         self.banks, self.dates = array("q"), array("q")
         self.assets, self.liabilities = array("d"), array("d")
+
+    def extend(self, other: _Columns) -> None:
+        """Append ``other``'s rows, its codes renumbered into this one's."""
+        bank = np.empty(len(other.bank_code), np.int64)
+        for key, code in other.bank_code.items():
+            bank[code] = self.bank_code.setdefault(key, len(self.bank_code))
+        date = np.empty(len(other.date_code), np.int64)
+        for key, code in other.date_code.items():
+            if key not in self.date_code:
+                self.date_code[key] = len(self.days)
+                self.days.append(other.days[code])
+            date[code] = self.date_code[key]
+        self.banks.frombytes(bank.take(np.frombuffer(other.banks, np.int64)).tobytes())
+        self.dates.frombytes(date.take(np.frombuffer(other.dates, np.int64)).tobytes())
+        self.assets += other.assets
+        self.liabilities += other.liabilities
+
+
+def _picks(spec: IngestSpec, header: list[str]) -> list[int]:
+    """The mapped columns' positions in ``header``; ValueError if one is missing."""
+    return [header.index(c) for c in (
+        spec.bank_col, spec.date_col, spec.assets_col, spec.liabilities_col)]
 
 
 def _read_rows(reader, path: Path, picks, cols: _Columns) -> None:
@@ -158,6 +187,29 @@ def _read_rows(reader, path: Path, picks, cols: _Columns) -> None:
         dates.append(date_code[day])
         assets.append(a_val)
         liabilities.append(l_val)
+
+
+def _read_csv(spec: IngestSpec, path: Path) -> _Columns:
+    """The whole file through the csv row loop, the reference the tests hold
+    the block reader to."""
+    cols = _Columns()
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            try:
+                header = next(reader, None)
+                if header is None:
+                    raise IngestError(f"{path}: empty file")
+                try:
+                    picks = _picks(spec, header)
+                except ValueError as exc:
+                    raise IngestError(f"{path}: missing column in header {header}: {exc}") from exc
+                _read_rows(reader, path, picks, cols)
+            except csv.Error as exc:
+                raise IngestError(f"{path}:{reader.line_num}: malformed csv: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise IngestError(f"{path}: not UTF-8 text: {exc}") from exc
+    return cols
 
 
 def _codes(code: dict[str, int], raw: list[str]) -> tuple[list[int], dict[str, int]]:
@@ -232,57 +284,160 @@ def _read_plain(text: str, width: int, picks, cols: _Columns) -> bool:
     return True
 
 
-def _read_blocks(fh, width: int, picks, cols: _Columns) -> bool:
-    """Convert the rest of the file a block of whole lines at a time. Returns
-    True when every block was plain, and False at the first that is not."""
-    carry = ""
-    while True:
-        chunk = fh.read(_BLOCK_CHARS)
-        text = carry + chunk
-        cut = text.rfind("\n") + 1 if chunk else len(text)
-        if not _read_plain(text[:cut], width, picks, cols):
-            return False
-        if not chunk:
-            return True
-        carry = text[cut:]
+def _read_range(path: Path, start: int, stop: int, width: int, picks) -> _Columns | None:
+    """The rows in bytes ``[start, stop)`` of the file, both line boundaries,
+    converted a block of whole lines at a time; None at the first block that
+    is not plain UTF-8. No newline byte is part of a multibyte character, so
+    the blocks, cut after one, decode as the whole file does."""
+    cols = _Columns()
+    with open(path, "rb") as fh:
+        fh.seek(start)
+        carry, left = b"", stop - start
+        while True:
+            chunk = fh.read(min(_BLOCK_BYTES, left))
+            left -= len(chunk)
+            data = carry + chunk
+            cut = data.rfind(b"\n") + 1 if chunk else len(data)
+            try:
+                text = data[:cut].decode("utf-8")
+            except UnicodeDecodeError:
+                return None
+            if not _read_plain(text, width, picks, cols):
+                return None
+            if not chunk:
+                return cols
+            carry = data[cut:]
+
+
+def _range_count(n_bytes: int) -> int:
+    """How many ranges ``n_bytes`` of lines are read in: one per CPU this
+    process may run on, each of at least ``_MIN_RANGE_BYTES``. One where the
+    platform has no ``sched_getaffinity`` or ``fork``, and while another
+    thread runs, which a fork would not copy."""
+    if not (hasattr(os, "sched_getaffinity") and hasattr(os, "fork")):
+        return 1
+    import threading
+    if threading.active_count() > 1:
+        return 1
+    return max(1, min(len(os.sched_getaffinity(0)), n_bytes // _MIN_RANGE_BYTES))
+
+
+def _fork_range(path: Path, start: int, stop: int, width: int,
+                picks) -> tuple[int, io.BufferedReader] | None:
+    """Fork a child that reads bytes ``[start, stop)`` and writes what
+    ``_read_range`` returns, pickled, to a pipe. Returns the child's pid and
+    the pipe's read end, or None if no pipe or child could be made."""
+    import pickle
+    try:
+        fd, out = os.pipe()
+    except OSError:
+        return None
+    try:
+        # safe beside numpy: OpenBLAS joins its threads in its own
+        # pthread_atfork handler (so Python 3.12, which counts threads after
+        # that handler, has none to warn of), and the child only parses
+        # strings, writes to its pipe and leaves through os._exit, so it runs
+        # no atexit handler and flushes none of the parent's buffered output
+        pid = os.fork()
+    except OSError:
+        os.close(fd)
+        os.close(out)
+        return None
+    if pid == 0:
+        status = 1
+        try:
+            os.close(fd)
+            part = _read_range(path, start, stop, width, picks)
+            with open(out, "wb") as pipe:
+                pickle.dump(part, pipe, pickle.HIGHEST_PROTOCOL)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(out)
+    return pid, open(fd, "rb")
+
+
+def _read_ranges(path: Path, ranges: list[tuple[int, int]], width: int, picks) -> _Columns | None:
+    """The rows of every byte range, in file order, or None if one is not
+    plain. This process reads the first range, and a forked child each other
+    one. A range whose child could not start, failed or sent a short result
+    is read here too, so the result never depends on whether a child ran."""
+    import pickle
+    children = {}  # range index -> (pid, read end of its pipe), until reaped
+    try:
+        for k in range(1, len(ranges)):
+            child = _fork_range(path, *ranges[k], width, picks)
+            if child is not None:
+                children[k] = child
+        cols = _read_range(path, *ranges[0], width, picks)
+        for k in range(1, len(ranges)):
+            if cols is None:
+                return None
+            sent = False
+            if k in children:
+                pid, pipe = children[k]
+                with pipe:
+                    try:
+                        part, sent = pickle.load(pipe), True
+                    except (EOFError, pickle.UnpicklingError):  # a short result
+                        pass
+                sent &= os.waitpid(pid, 0)[1] == 0  # not killed, and exited 0
+                del children[k]
+            if not sent:
+                part = _read_range(path, *ranges[k], width, picks)
+            if part is None:
+                return None
+            cols.extend(part)
+        return cols
+    finally:
+        if children:
+            import signal
+            for pid, pipe in children.values():
+                os.kill(pid, signal.SIGKILL)
+                pipe.close()
+            for pid, _ in children.values():
+                os.waitpid(pid, 0)
+
+
+def _read_plain_file(spec: IngestSpec, path: Path) -> _Columns | None:
+    """The rows of a file whose header and blocks are all plain, read in
+    line-aligned byte ranges (see ``_range_count``); None for any other file,
+    which the csv row loop reads from the top and words every error of."""
+    with open(path, "rb") as fh:
+        line = fh.readline()
+        start, size = fh.tell(), os.fstat(fh.fileno()).st_size
+        # a header the csv reader might split otherwise is left to it
+        if (not line.rstrip(b"\n") or len(line) > csv.field_size_limit()
+                or any(c in line for c in (b'"', b"\r", b"\0"))):
+            return None
+        try:
+            header = line.decode("utf-8").rstrip("\n").split(",")
+            picks = _picks(spec, header)
+        except ValueError:  # UnicodeDecodeError included
+            return None
+        # each range ends after the line that holds its share's last byte
+        k = _range_count(size - start)
+        bounds = [start]
+        for i in range(1, k):
+            fh.seek(max(start + (size - start) * i // k - 1, bounds[-1]))
+            fh.readline()
+            bounds.append(fh.tell())
+        bounds.append(size)
+    ranges = [(lo, hi) for lo, hi in zip(bounds, bounds[1:]) if lo < hi]
+    return _read_ranges(path, ranges, len(header), picks) if ranges else _Columns()
 
 
 def _read_columns(spec: IngestSpec, path: Path, by_row: bool = False):
     """Read the file into bank and date codes and float values, then scatter
     them into (dates x banks) matrices. Returns the sorted bank ids, the
     sorted dates as ISO labels, the row count of every cell, and the assets
-    and liabilities (NaN in cells no row fills). A file whose blocks are all plain is converted a
-    column at a time; any other file is read again from the top with
-    ``by_row``, the csv row loop alone, which is also the reference the tests
-    hold the block reader to."""
-    cols = _Columns()
-    try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            try:
-                header = next(reader, None)
-                if header is None:
-                    raise IngestError(f"{path}: empty file")
-                try:
-                    picks = [header.index(c) for c in (
-                        spec.bank_col, spec.date_col, spec.assets_col, spec.liabilities_col)]
-                except ValueError as exc:
-                    raise IngestError(f"{path}: missing column in header {header}: {exc}") from exc
-                if by_row:
-                    _read_rows(reader, path, picks, cols)
-                elif not _read_blocks(fh, len(header), picks, cols):
-                    cols = None
-            except csv.Error as exc:
-                raise IngestError(f"{path}:{reader.line_num}: malformed csv: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        if by_row:
-            raise IngestError(f"{path}: not UTF-8 text: {exc}") from exc
-        # block reads decode other byte chunks than the row loop's line reads:
-        # the row loop alone finds and words the first error
-        cols = None
+    and liabilities (NaN in cells no row fills). A file whose header and
+    blocks are all plain is converted a column at a time; any other file is
+    read from the top by ``_read_csv``, the csv row loop, which ``by_row``
+    picks for every file."""
+    cols = None if by_row else _read_plain_file(spec, path)
     if cols is None:
-        # the partial columns are already dropped: the re-read never holds two
-        return _read_columns(spec, path, by_row=True)
+        cols = _read_csv(spec, path)
     if not cols.banks:
         raise IngestError(f"{path}: no data rows")
 

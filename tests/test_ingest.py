@@ -1,9 +1,16 @@
 """Columnar ingest against a per-bank reference on small panels with planted
-defects, and the block reader against the csv row loop on hostile files."""
+defects, and the block reader, in one byte range or in several read by forked
+children, against the csv row loop on hostile files."""
 
 import csv
 import datetime
+import errno
 import math
+import os
+import pickle
+import signal
+import threading
+import time
 from array import array
 
 import pytest
@@ -213,22 +220,72 @@ def read_outcome(path, by_row):
 
 PLAIN_HEAD = b"bank_id,date,assets,liabilities\na,2005-03-31,2,1\nb,2005-03-31,3,1\n"
 
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="ranges are read in one process")
 
+
+def in_ranges(mp, k):
+    """Split every plain file's data into ``k`` ranges, whatever its size and
+    however many CPUs the process may use."""
+    mp.setattr(cli, "_MIN_RANGE_BYTES", 1)
+    mp.setattr(os, "sched_getaffinity", lambda pid: set(range(k)), raising=False)
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def count_forks(mp):
+    """A list that gains an item each time this process forks."""
+    forks, fork = [], os.fork
+
+    def counted():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
+    mp.setattr(os, "fork", counted)
+    return forks
+
+
+# with k ranges, the data part splits into k equal byte shares, each range
+# ending after the line that holds its share's last byte
 @settings(max_examples=500, deadline=None)
-@example(data=PLAIN_HEAD + b'"q",2005-06-30,2,1\n', block=8, limit=None)
-@example(data=PLAIN_HEAD + b"a,2005-06-30,7\r,1\n", block=8, limit=None)
-@example(data=PLAIN_HEAD + b"a,2005-06-30,2,1\r\nb,2005-06-30,3,1\r\n", block=8, limit=None)
-@example(data=PLAIN_HEAD + b"a,2005-06-30,2\n1,b,2005-06-30,2,1\n", block=1 << 16, limit=None)
-@example(data=PLAIN_HEAD + b",2005-06-30,2,1\n", block=8, limit=None)
-@example(data=PLAIN_HEAD + f"a,2005-06-30,{LONG},1\n".encode(), block=8, limit=48)
-@example(data=PLAIN_HEAD + b" a,2005-06-30,2,1\n", block=8, limit=None)
+@example(data=PLAIN_HEAD + b'"q",2005-06-30,2,1\n', block=8, limit=None, ranges=1)
+@example(data=PLAIN_HEAD + b"a,2005-06-30,7\r,1\n", block=8, limit=None, ranges=1)
+@example(data=PLAIN_HEAD + b"a,2005-06-30,2,1\r\nb,2005-06-30,3,1\r\n", block=8, limit=None,
+         ranges=1)
+@example(data=PLAIN_HEAD + b"a,2005-06-30,2\n1,b,2005-06-30,2,1\n", block=1 << 16, limit=None,
+         ranges=1)
+@example(data=PLAIN_HEAD + b",2005-06-30,2,1\n", block=8, limit=None, ranges=1)
+@example(data=PLAIN_HEAD + f"a,2005-06-30,{LONG},1\n".encode(), block=8, limit=48, ranges=1)
+@example(data=PLAIN_HEAD + b" a,2005-06-30,2,1\n", block=8, limit=None, ranges=1)
 @example(data=PLAIN_HEAD + b"a,2005-06-30,2,2.0\nb,2005-06-30,-0.0,2\nc,2005-06-30,0.0,-0.0\n",
-         block=1 << 16, limit=None)
-@example(data=PLAIN_HEAD + b"a,2005-06-30,x,1\nb,2005-06-30,x,1\n", block=1 << 16, limit=None)
-@example(data=PLAIN_HEAD + b"a,2005-06-30,2,1\n,2005-06-30,3,1\n", block=8, limit=None)
+         block=1 << 16, limit=None, ranges=1)
+@example(data=PLAIN_HEAD + b"a,2005-06-30,x,1\nb,2005-06-30,x,1\n", block=1 << 16, limit=None,
+         ranges=1)
+@example(data=PLAIN_HEAD + b"a,2005-06-30,2,1\n,2005-06-30,3,1\n", block=8, limit=None, ranges=1)
+# a quoted header field holding a comma: split at every comma, the header
+# would name other columns than the csv reader does
+@example(data=b'bank_id,date,"a,b",assets,liabilities\nx,2005-03-31,1,2,3,4\n', block=8,
+         limit=None, ranges=1)
+# a line that is not plain only in the last of three ranges
+@example(data=PLAIN_HEAD + b"a,2005-06-30,2,1\nb,2005-06-30,3,1\na,2005-09-30,2,1\n"
+         b'b,2005-09-30,3,1\n"q",2005-09-30,2,1\n', block=8, limit=None, ranges=3)
+# a byte that is not UTF-8 only in the second range
+@example(data=PLAIN_HEAD + b"a,2005-06-30,2,1\nb,2005-06-30,\xff3,1\n", block=8, limit=None,
+         ranges=2)
+# the second of three ranges holds only blank lines
+@example(data=PLAIN_HEAD + b"\n" * 40 + b"a,2005-06-30,2,1\n", block=8, limit=None, ranges=3)
+# bank c is first seen in the second range
+@example(data=PLAIN_HEAD + b"a,2005-06-30,2,1\nc,2005-03-31,4,1\nc,2005-06-30,5,1\n",
+         block=1 << 16, limit=None, ranges=2)
+# the second range spells both days without dashes
+@example(data=PLAIN_HEAD + b"a,2005-06-30,2,1\nb,20050630,3,1\nc,20050331,4,1\n",
+         block=1 << 16, limit=None, ranges=2)
 @given(data=hostile_files(), block=st.sampled_from([1, 2, 3, 5, 8, 13, 64, 1 << 16]),
-       limit=st.sampled_from([None, 48]))
-def test_block_reader_matches_the_row_loop(tmp_path_factory, data, block, limit):
+       limit=st.sampled_from([None, 48]), ranges=st.sampled_from([1, 1, 2, 3]))
+def test_block_reader_matches_the_row_loop(tmp_path_factory, data, block, limit, ranges):
     path = tmp_path_factory.mktemp("hostile") / "p.csv"
     path.write_bytes(data)
     default_limit = csv.field_size_limit()
@@ -237,7 +294,8 @@ def test_block_reader_matches_the_row_loop(tmp_path_factory, data, block, limit)
             csv.field_size_limit(limit)
         expected = read_outcome(path, by_row=True)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(cli, "_BLOCK_CHARS", block)
+            mp.setattr(cli, "_BLOCK_BYTES", block)
+            in_ranges(mp, ranges)
             assert read_outcome(path, by_row=False) == expected
     finally:
         csv.field_size_limit(default_limit)
@@ -273,7 +331,7 @@ def test_plain_file_never_reaches_the_row_loop(tmp_path, monkeypatch):
     path.write_text("bank_id,date,assets,liabilities\n\n a ,2005-03-31,2,1\n"
                     "b,2005-03-31 ,nan,1\n\na,2005-06-30,-Infinity,1_0", encoding="utf-8")
     expected = read_outcome(path, by_row=True)
-    monkeypatch.setattr(cli, "_BLOCK_CHARS", 7)
+    monkeypatch.setattr(cli, "_BLOCK_BYTES", 7)
     monkeypatch.setattr(cli, "_read_rows", None)
     assert read_outcome(path, by_row=False) == expected
     assert expected[0] == ["a", "b"] and expected[2] == (2, 2)
@@ -292,3 +350,111 @@ def test_decode_error_is_the_row_loops_in_a_long_file(tmp_path, bad_row):
     expected = read_outcome(path, by_row=True)
     assert read_outcome(path, by_row=False) == expected
     assert ("malformed row" if bad_row == 40 else "not UTF-8") in expected
+
+
+def test_range_count_follows_the_cpus_the_size_and_the_threads(monkeypatch):
+    if not hasattr(os, "fork"):
+        assert cli._range_count(1 << 30) == 1
+        return
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    # the 80 x 5,000 simulated panel and the 724-bank reporting panel
+    assert cli._range_count(20_668_729) == 2
+    assert cli._range_count(1_770_000) == 1
+    assert cli._range_count(0) == 1
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
+    assert cli._range_count(20_668_729) == 4
+    assert cli._range_count(1 << 30) == 8
+    done = threading.Event()
+    thread = threading.Thread(target=done.wait, args=(10,))
+    thread.start()
+    try:
+        assert cli._range_count(1 << 30) == 1
+    finally:
+        done.set()
+        thread.join(10)
+    assert not thread.is_alive()
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert cli._range_count(1 << 30) == 1
+
+
+@needs_fork
+def test_no_child_outlives_a_read(tmp_path, monkeypatch):
+    in_ranges(monkeypatch, 3)
+    forks = count_forks(monkeypatch)
+    rows = b"a,2005-06-30,2,1\nb,2005-06-30,3,1\na,2005-09-30,2,1\nb,2005-09-30,3,1\n"
+    for name, data in [("plain", PLAIN_HEAD + rows),
+                       ("late fallback", PLAIN_HEAD + rows + b'"b",2005-12-31,3,1\n'),
+                       ("early fallback", PLAIN_HEAD.replace(b"\na,", b'\n"a",') + rows)]:
+        path = tmp_path / f"{name}.csv"
+        path.write_bytes(data)
+        before = len(forks)
+        assert read_outcome(path, by_row=False) == read_outcome(path, by_row=True), name
+        assert len(forks) == before + 2, name
+        assert_no_child_left()
+
+    # three banks on a diagonal of three dates: nine cells over both caps
+    monkeypatch.setattr(cli, "_MAX_CELLS", 4)
+    monkeypatch.setattr(cli, "_MAX_CELLS_PER_ROW", 1)
+    path = tmp_path / "dense.csv"
+    path.write_bytes(b"bank_id,date,assets,liabilities\na,2005-03-31,2,1\n"
+                     b"b,2005-06-30,2,1\nc,2005-09-30,2,1\n")
+    before = len(forks)
+    with pytest.raises(IngestError, match="over the limit"):
+        cli._read_columns(IngestSpec(str(path)), path)
+    assert len(forks) == before + 2
+    assert_no_child_left()
+
+    # an interrupt while the children still read: they are killed, not
+    # waited for, and reaped
+    parent, read_range = os.getpid(), cli._read_range
+
+    def interrupted(*args):
+        if os.getpid() == parent:
+            raise KeyboardInterrupt
+        time.sleep(60)
+        return read_range(*args)
+    monkeypatch.setattr(cli, "_read_range", interrupted)
+    path = tmp_path / "plain.csv"
+    before, started = len(forks), time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        cli._read_columns(IngestSpec(str(path)), path)
+    assert time.monotonic() - started < 30
+    assert len(forks) == before + 2
+    assert_no_child_left()
+
+
+@needs_fork
+@pytest.mark.parametrize("failure", ["raises", "exits 1", "killed", "short result",
+                                     "cannot fork"])
+def test_a_failed_child_reads_as_one_range(tmp_path, monkeypatch, failure):
+    path = tmp_path / "p.csv"
+    path.write_bytes(PLAIN_HEAD + b"a,2005-06-30,2,1\nc,2005-03-31,4,1\nb, 2005-06-30,5,1\n"
+                     b"c,2005-06-30,5,1\na,2005-09-30,2,1\nb,2005-09-30,\t3,1\n")
+    expected = read_outcome(path, by_row=False)
+    assert expected == read_outcome(path, by_row=True)
+    # the failed child's range is read again here, not the file by the row loop
+    monkeypatch.setattr(cli, "_read_rows", None)
+    in_ranges(monkeypatch, 3)
+    forks = count_forks(monkeypatch)
+    parent, read_range, dumps = os.getpid(), cli._read_range, pickle.dumps
+
+    def failing(*args):
+        if os.getpid() != parent:
+            if failure == "raises":
+                raise RuntimeError("a child's own error")
+            if failure == "exits 1":
+                os._exit(1)
+            if failure == "killed":
+                os.kill(os.getpid(), signal.SIGKILL)
+        return read_range(*args)
+    monkeypatch.setattr(cli, "_read_range", failing)
+    if failure == "short result":
+        monkeypatch.setattr(pickle, "dump", lambda obj, file, *args: file.write(
+            dumps(obj, *args)[:-1]))
+    if failure == "cannot fork":
+        def refused():
+            raise BlockingIOError(errno.EAGAIN, "fork refused")
+        monkeypatch.setattr(os, "fork", refused)
+    assert read_outcome(path, by_row=False) == expected
+    assert len(forks) == (0 if failure == "cannot fork" else 2)
+    assert_no_child_left()
