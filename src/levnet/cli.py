@@ -22,6 +22,7 @@ import sys
 from array import array
 from collections.abc import Iterable
 from dataclasses import asdict, dataclass, fields, replace
+from functools import partial
 from itertools import chain, compress, repeat
 from pathlib import Path
 
@@ -29,6 +30,7 @@ import numpy as np
 
 from . import balance_sheet as bs
 from . import network as net
+from ._forked import forked, workers
 from .growth import ReplicationStudy, replication_study
 from .sim import EVENT_KINDS, ConfigError, SimConfig, SimOutput, run
 
@@ -309,100 +311,38 @@ def _read_range(path: Path, start: int, stop: int, width: int, picks) -> _Column
             carry = data[cut:]
 
 
-def _range_count(n_bytes: int) -> int:
-    """How many ranges ``n_bytes`` of lines are read in: one per CPU this
-    process may run on, each of at least ``_MIN_RANGE_BYTES``. One where the
-    platform has no ``sched_getaffinity`` or ``fork``, and while another
-    thread runs, which a fork would not copy."""
-    if not (hasattr(os, "sched_getaffinity") and hasattr(os, "fork")):
-        return 1
-    import threading
-    if threading.active_count() > 1:
-        return 1
-    return max(1, min(len(os.sched_getaffinity(0)), n_bytes // _MIN_RANGE_BYTES))
-
-
-def _fork_range(path: Path, start: int, stop: int, width: int,
-                picks) -> tuple[int, io.BufferedReader] | None:
-    """Fork a child that reads bytes ``[start, stop)`` and writes what
-    ``_read_range`` returns, pickled, to a pipe. Returns the child's pid and
-    the pipe's read end, or None if no pipe or child could be made."""
-    import pickle
-    try:
-        fd, out = os.pipe()
-    except OSError:
-        return None
-    try:
-        # safe beside numpy: OpenBLAS joins its threads in its own
-        # pthread_atfork handler (so Python 3.12, which counts threads after
-        # that handler, has none to warn of), and the child only parses
-        # strings, writes to its pipe and leaves through os._exit, so it runs
-        # no atexit handler and flushes none of the parent's buffered output
-        pid = os.fork()
-    except OSError:
-        os.close(fd)
-        os.close(out)
-        return None
-    if pid == 0:
-        status = 1
-        try:
-            os.close(fd)
-            part = _read_range(path, start, stop, width, picks)
-            with open(out, "wb") as pipe:
-                pickle.dump(part, pipe, pickle.HIGHEST_PROTOCOL)
-            status = 0
-        finally:
-            os._exit(status)
-    os.close(out)
-    return pid, open(fd, "rb")
+class _NotPlain(Exception):
+    """The first range is not plain."""
 
 
 def _read_ranges(path: Path, ranges: list[tuple[int, int]], width: int, picks) -> _Columns | None:
     """The rows of every byte range, in file order, or None if one is not
     plain. This process reads the first range, and a forked child each other
-    one. A range whose child could not start, failed or sent a short result
-    is read here too, so the result never depends on whether a child ran."""
-    import pickle
-    children = {}  # range index -> (pid, read end of its pipe), until reaped
-    try:
-        for k in range(1, len(ranges)):
-            child = _fork_range(path, *ranges[k], width, picks)
-            if child is not None:
-                children[k] = child
+    one (see ``_forked.forked``)."""
+    def first() -> _Columns:
+        # raised, so that the children are killed at once rather than waited for
         cols = _read_range(path, *ranges[0], width, picks)
-        for k in range(1, len(ranges)):
-            if cols is None:
-                return None
-            sent = False
-            if k in children:
-                pid, pipe = children[k]
-                with pipe:
-                    try:
-                        part, sent = pickle.load(pipe), True
-                    except (EOFError, pickle.UnpicklingError):  # a short result
-                        pass
-                sent &= os.waitpid(pid, 0)[1] == 0  # not killed, and exited 0
-                del children[k]
-            if not sent:
-                part = _read_range(path, *ranges[k], width, picks)
-            if part is None:
-                return None
-            cols.extend(part)
+        if cols is None:
+            raise _NotPlain
         return cols
-    finally:
-        if children:
-            import signal
-            for pid, pipe in children.values():
-                os.kill(pid, signal.SIGKILL)
-                pipe.close()
-            for pid, _ in children.values():
-                os.waitpid(pid, 0)
+    try:
+        parts = forked([first, *(partial(_read_range, path, lo, hi, width, picks)
+                                 for lo, hi in ranges[1:])])
+    except _NotPlain:
+        return None
+    if None in parts:
+        return None
+    cols = parts[0]
+    for part in parts[1:]:
+        cols.extend(part)
+    return cols
 
 
 def _read_plain_file(spec: IngestSpec, path: Path) -> _Columns | None:
     """The rows of a file whose header and blocks are all plain, read in
-    line-aligned byte ranges (see ``_range_count``); None for any other file,
-    which the csv row loop reads from the top and words every error of."""
+    line-aligned byte ranges, as many as ``workers`` gives for its size;
+    None for any other file, which the csv row loop reads from the top and
+    words every error of."""
     with open(path, "rb") as fh:
         line = fh.readline()
         start, size = fh.tell(), os.fstat(fh.fileno()).st_size
@@ -416,7 +356,7 @@ def _read_plain_file(spec: IngestSpec, path: Path) -> _Columns | None:
         except ValueError:  # UnicodeDecodeError included
             return None
         # each range ends after the line that holds its share's last byte
-        k = _range_count(size - start)
+        k = workers(size - start, _MIN_RANGE_BYTES)
         bounds = [start]
         for i in range(1, k):
             fh.seek(max(start + (size - start) * i // k - 1, bounds[-1]))

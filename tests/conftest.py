@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -163,3 +164,24 @@ def random_correlation_matrix(rng: np.random.Generator, n: int) -> CorrelationMa
     vals = vals + vals.T
     np.fill_diagonal(vals, 1.0)
     return CorrelationMatrix(tuple(f"N{i:03d}" for i in range(n)), vals)
+
+
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="no process is forked")
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def count_forks(mp):
+    """A list that gains an item each time this process forks."""
+    forks, fork = [], os.fork
+
+    def counted():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
+    mp.setattr(os, "fork", counted)
+    return forks

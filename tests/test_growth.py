@@ -1,12 +1,21 @@
+import errno
 import math
+import os
+import pickle
+import signal
+import time
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from levnet import _forked, growth
+from levnet.cli import EXIT_COMPUTE, EXIT_OK, main, write_study_csv
 from levnet.growth import (
     NoDefinedPairsError,
+    ReplicationStudy,
     ZeroInitialLeverageError,
     growth_records,
     most_correlated_pair,
@@ -15,7 +24,15 @@ from levnet.growth import (
 from levnet.network import CorrelationMatrix
 from levnet.sim import SimConfig
 
-from conftest import BankSeries, from_observations, panel_from_members, random_correlation_matrix
+from conftest import (
+    BankSeries,
+    assert_no_child_left,
+    count_forks,
+    from_observations,
+    needs_fork,
+    panel_from_members,
+    random_correlation_matrix,
+)
 
 STUDY_CFG = SimConfig(n_banks=10, n_periods=150, seed=21)
 
@@ -105,6 +122,15 @@ class TestGrowthRecord:
                            match="^k: initial leverage is zero, growth undefined$"):
             growth_record(s)
 
+    def test_growth_past_the_float_range_is_inf_without_a_warning(self):
+        # leverage 1e-300 at the start and about 1e16 at the end
+        s = from_observations("k", [(0, 1.0, 1e-300), (1, 1.0, 1.0 - 1e-16)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rec = growth_record(s)
+        assert rec.leverage_growth == math.inf
+        assert scalar_growth_records(panel_from_members("p", [s])) == [("k", math.inf, 1.0)]
+
     @given(scale=st.floats(min_value=1e-6, max_value=1e6))
     def test_currency_scale_invariance(self, scale):
         rows = [(0, 1_000.0, 400.0), (1, 1_600.0, 900.0), (2, 2_500.0, 1_200.0)]
@@ -175,3 +201,169 @@ class TestReplicationStudy:
     def test_rejects_bad_runs(self):
         with pytest.raises(ValueError):
             replication_study(STUDY_CFG, 0)
+
+
+# the pool runs where this process can fork and set OpenBLAS's thread count
+POOL = hasattr(os, "fork") and _forked.one_blas_thread() is not None
+needs_pool = pytest.mark.skipif(not POOL, reason="the study runs in one process")
+# STUDY_CFG on the command line
+STUDY_FLAGS = ["--n-banks", "10", "--n-periods", "150", "--seed", "21"]
+
+
+def in_workers(mp, k):
+    """Share every study among ``k`` processes, whatever its size and however
+    many CPUs the process may use."""
+    mp.setattr(growth, "_MIN_STUDY_WORK", 1)
+    mp.setattr(os, "sched_getaffinity", lambda pid: set(range(k)), raising=False)
+
+
+def serial_csv(path, runs):
+    """The study CSV from the runs one after another in this process."""
+    write_study_csv(ReplicationStudy(runs, STUDY_CFG.seed, tuple(
+        growth._study_run(STUDY_CFG, r) for r in range(runs))), path)
+    return path.read_bytes()
+
+
+def study_csv(path, runs):
+    assert main(["study", "--runs", str(runs), "--out", str(path), *STUDY_FLAGS]) == EXIT_OK
+    return path.read_bytes()
+
+
+@needs_fork
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_study_csv_is_the_same_for_every_worker_count(tmp_path, monkeypatch, k):
+    expected = serial_csv(tmp_path / "serial.csv", 5)
+    in_workers(monkeypatch, k)
+    forks = count_forks(monkeypatch)
+    assert study_csv(tmp_path / "study.csv", 5) == expected
+    assert len(forks) == (k - 1 if POOL else 0)
+    assert_no_child_left()
+
+
+@needs_fork
+def test_without_thread_control_a_study_runs_in_one_process(tmp_path, monkeypatch):
+    expected = serial_csv(tmp_path / "serial.csv", 5)
+    in_workers(monkeypatch, 3)
+    monkeypatch.setattr(_forked, "_openblas_threads", lambda: None)
+    forks = count_forks(monkeypatch)
+    assert study_csv(tmp_path / "study.csv", 5) == expected
+    assert forks == []
+
+
+@needs_fork
+def test_a_small_study_forks_nothing(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    # 4 and 10 runs at 80 x 5,000 are shared, 2 runs at 80 x 500 are not
+    assert _forked.workers(4 * 80 * 5_000, growth._MIN_STUDY_WORK) == 2
+    assert _forked.workers(10 * 80 * 5_000, growth._MIN_STUDY_WORK) == 2
+    # no fork, and no lookup of OpenBLAS's thread control
+    monkeypatch.setattr(_forked, "_openblas_threads", None)
+    forks = count_forks(monkeypatch)
+    replication_study(SimConfig(n_banks=80, n_periods=500, seed=3), 2)
+    assert forks == []
+
+
+@needs_pool
+@pytest.mark.parametrize("failure", ["raises", "exits 1", "killed", "short result",
+                                     "cannot fork"])
+def test_a_failed_worker_gives_the_same_csv(tmp_path, monkeypatch, failure):
+    expected = serial_csv(tmp_path / "serial.csv", 5)
+    in_workers(monkeypatch, 3)
+    forks = count_forks(monkeypatch)
+    parent, study_run, dumps = os.getpid(), growth._study_run, pickle.dumps
+
+    def failing(config, run_index):
+        if os.getpid() != parent:
+            if failure == "raises":
+                raise RuntimeError("a worker's own error")
+            if failure == "exits 1":
+                os._exit(1)
+            if failure == "killed":
+                os.kill(os.getpid(), signal.SIGKILL)
+        return study_run(config, run_index)
+    monkeypatch.setattr(growth, "_study_run", failing)
+    if failure == "short result":
+        monkeypatch.setattr(pickle, "dump", lambda obj, file, *args: file.write(
+            dumps(obj, *args)[:-1]))
+    if failure == "cannot fork":
+        def refused():
+            raise BlockingIOError(errno.EAGAIN, "fork refused")
+        monkeypatch.setattr(os, "fork", refused)
+    assert study_csv(tmp_path / "study.csv", 5) == expected
+    assert len(forks) == (0 if failure == "cannot fork" else 2)
+    assert_no_child_left()
+
+
+@needs_fork
+def test_a_failing_run_in_a_worker_gives_the_serial_error(tmp_path, monkeypatch, capsys):
+    study_run = growth._study_run
+
+    def failing(config, run_index):
+        # runs 2 and 4 fail; with 3 workers the blocks are [0], [1, 2], [3, 4]
+        if run_index in (2, 4):
+            raise ZeroInitialLeverageError(f"B{run_index}: initial leverage is zero")
+        return study_run(config, run_index)
+    monkeypatch.setattr(growth, "_study_run", failing)
+    outcomes = []
+    for k in (1, 3):
+        in_workers(monkeypatch, k)
+        out = tmp_path / f"study-{k}.csv"
+        code = main(["study", "--runs", "5", "--out", str(out), *STUDY_FLAGS])
+        outcomes.append((code, capsys.readouterr().err, out.exists()))
+        assert_no_child_left()
+    assert outcomes[0] == outcomes[1] == (
+        EXIT_COMPUTE, "computation error: B2: initial leverage is zero\n", False)
+
+
+@needs_pool
+def test_no_child_outlives_an_interrupted_study(monkeypatch):
+    # the workers are killed, not waited for, and reaped
+    in_workers(monkeypatch, 3)
+    forks = count_forks(monkeypatch)
+    parent = os.getpid()
+
+    def interrupted(config, run_index):
+        if os.getpid() == parent:
+            raise KeyboardInterrupt
+        time.sleep(60)
+    monkeypatch.setattr(growth, "_study_run", interrupted)
+    started = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        replication_study(STUDY_CFG, 5)
+    assert time.monotonic() - started < 30
+    assert len(forks) == 2
+    assert_no_child_left()
+
+
+@needs_pool
+def test_a_study_holds_openblas_to_one_thread_and_restores_its_count(monkeypatch):
+    get, set_ = _forked._openblas_threads()
+    old = get()
+    set_(2)
+    try:
+        before = get()
+        in_workers(monkeypatch, 3)
+        parent, study_run = os.getpid(), growth._study_run
+        ran_here = []
+
+        def checked(config, run_index):
+            if get() != 1:
+                raise AssertionError(f"{get()} OpenBLAS threads")
+            if os.getpid() == parent:
+                ran_here.append(run_index)
+            if run_index == fail_at:
+                raise ZeroInitialLeverageError("B0: initial leverage is zero")
+            return study_run(config, run_index)
+        monkeypatch.setattr(growth, "_study_run", checked)
+        fail_at = None
+        assert len(replication_study(STUDY_CFG, 5).run_records) == 5
+        # a worker that saw more than one thread would have failed, and its
+        # block been run again here
+        assert ran_here == [0]
+        assert get() == before
+        fail_at = 3
+        with pytest.raises(ZeroInitialLeverageError):
+            replication_study(STUDY_CFG, 5)
+        assert get() == before
+    finally:
+        set_(old)

@@ -17,9 +17,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from levnet import cli
+from levnet._forked import workers
 from levnet.cli import IngestError, IngestSpec, ingest_panel
 
-from conftest import bank_series
+from conftest import assert_no_child_left, bank_series, count_forks, needs_fork
 
 DATES = ("2005-03-31", "2005-06-30", "2005-09-30", "2005-12-31", "2006-03-31", "2006-06-30")
 IDS = ("a", "b", "Banco, SA", 'Caja "Rural"', "z9", "Z")
@@ -220,32 +221,11 @@ def read_outcome(path, by_row):
 
 PLAIN_HEAD = b"bank_id,date,assets,liabilities\na,2005-03-31,2,1\nb,2005-03-31,3,1\n"
 
-needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="ranges are read in one process")
-
-
 def in_ranges(mp, k):
     """Split every plain file's data into ``k`` ranges, whatever its size and
     however many CPUs the process may use."""
     mp.setattr(cli, "_MIN_RANGE_BYTES", 1)
     mp.setattr(os, "sched_getaffinity", lambda pid: set(range(k)), raising=False)
-
-
-def assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-def count_forks(mp):
-    """A list that gains an item each time this process forks."""
-    forks, fork = [], os.fork
-
-    def counted():
-        pid = fork()
-        if pid:
-            forks.append(pid)
-        return pid
-    mp.setattr(os, "fork", counted)
-    return forks
 
 
 # with k ranges, the data part splits into k equal byte shares, each range
@@ -352,29 +332,31 @@ def test_decode_error_is_the_row_loops_in_a_long_file(tmp_path, bad_row):
     assert ("malformed row" if bad_row == 40 else "not UTF-8") in expected
 
 
-def test_range_count_follows_the_cpus_the_size_and_the_threads(monkeypatch):
+def test_workers_follow_the_cpus_the_size_and_the_threads(monkeypatch):
+    def ranges(n_bytes):
+        return workers(n_bytes, cli._MIN_RANGE_BYTES)
     if not hasattr(os, "fork"):
-        assert cli._range_count(1 << 30) == 1
+        assert ranges(1 << 30) == 1
         return
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     # the 80 x 5,000 simulated panel and the 724-bank reporting panel
-    assert cli._range_count(20_668_729) == 2
-    assert cli._range_count(1_770_000) == 1
-    assert cli._range_count(0) == 1
+    assert ranges(20_668_729) == 2
+    assert ranges(1_770_000) == 1
+    assert ranges(0) == 1
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
-    assert cli._range_count(20_668_729) == 4
-    assert cli._range_count(1 << 30) == 8
+    assert ranges(20_668_729) == 4
+    assert ranges(1 << 30) == 8
     done = threading.Event()
     thread = threading.Thread(target=done.wait, args=(10,))
     thread.start()
     try:
-        assert cli._range_count(1 << 30) == 1
+        assert ranges(1 << 30) == 1
     finally:
         done.set()
         thread.join(10)
     assert not thread.is_alive()
     monkeypatch.delattr(os, "sched_getaffinity")
-    assert cli._range_count(1 << 30) == 1
+    assert ranges(1 << 30) == 1
 
 
 @needs_fork
@@ -418,6 +400,21 @@ def test_no_child_outlives_a_read(tmp_path, monkeypatch):
     before, started = len(forks), time.monotonic()
     with pytest.raises(KeyboardInterrupt):
         cli._read_columns(IngestSpec(str(path)), path)
+    assert time.monotonic() - started < 30
+    assert len(forks) == before + 2
+    assert_no_child_left()
+
+    # a first range that is not plain sends the file to the row loop at once:
+    # the children are killed, not waited for
+    def slow_children(*args):
+        if os.getpid() != parent:
+            time.sleep(60)
+        return read_range(*args)
+    monkeypatch.setattr(cli, "_read_range", slow_children)
+    path = tmp_path / "early fallback.csv"
+    expected = read_outcome(path, by_row=True)
+    before, started = len(forks), time.monotonic()
+    assert read_outcome(path, by_row=False) == expected
     assert time.monotonic() - started < 30
     assert len(forks) == before + 2
     assert_no_child_left()
