@@ -1,7 +1,7 @@
 """Run independent calls in forked children of this process.
 
-The ranged panel read and the replication study both split their work into
-independent zero-argument calls. ``forked`` runs the first in this process
+The ranged panel read, the panel writer and the replication study each split
+their work into independent zero-argument calls. ``forked`` runs the first in this process
 and each other one in a forked child, which sends its result back pickled
 through a pipe. A call whose child could not start, failed, died or sent a
 short result runs again here, so a result never depends on whether a child

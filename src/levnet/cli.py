@@ -18,6 +18,7 @@ import io
 import json
 import math
 import os
+import stat
 import sys
 from array import array
 from collections.abc import Iterable
@@ -94,8 +95,20 @@ def _write(path: Path, chunks: Iterable[str]) -> None:
     """Write the strings ``chunks`` yields to ``path``, making its directory.
     They go to a sibling temp file that replaces ``path`` after the last
     chunk, and is removed if a chunk raises, so that ``path`` keeps its old
-    bytes or has all the new ones. Lines end in LF on every platform."""
+    bytes or has all the new ones. A symlink is followed: its final target is
+    replaced and the link stays. An existing file that is not a regular one,
+    such as a FIFO or a terminal, cannot be replaced and is written in place.
+    Lines end in LF on every platform."""
     path = Path(path)
+    try:
+        in_place = not stat.S_ISREG(os.stat(path).st_mode)
+    except FileNotFoundError:
+        in_place = False
+    if in_place:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.writelines(chunks)
+        return
+    path = Path(os.path.realpath(path))
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f".{path.name}.{os.urandom(4).hex()}.tmp")
     fh = open(tmp, "x", encoding="utf-8", newline="")
@@ -119,11 +132,13 @@ def _csv_field(text: str) -> str:
 _BLOCK_BYTES = 1 << 14
 
 # a plain file is split into line-aligned byte ranges, one per allowed CPU,
-# each of at least this size. On the 80 x 5,000 simulated panel (2-vCPU
-# x86-64) parsing takes about 18 ns a byte; a child costs about 2.5 ms to
-# fork, reap and merge, plus about 1 ns a byte to send and merge its columns.
-# A 4 MiB range keeps that fixed cost near 3% of the parse time it saves
-_MIN_RANGE_BYTES = 1 << 22
+# each of at least this size, so a second range starts at twice this size.
+# Timed as the first read of a fresh process (2-vCPU x86-64), a second range
+# pays from about 256 KiB on a quarterly reporting panel, which parses at
+# about 16 ns a byte while a child costs about 2 ms to fork, reap and merge.
+# A panel of 5,000 dates pays from about 1 MB, because each range parses,
+# sends back and merges every date
+_MIN_RANGE_BYTES = 1 << 19
 
 # ingest refuses a dense store over both limits: a sparse file (many banks,
 # each on its own dates) would otherwise allocate dates x banks cells
@@ -133,12 +148,14 @@ _MAX_CELLS_PER_ROW = 64
 
 class _Columns:
     """Bank and date codes and float values of the rows read so far; each
-    distinct date string is parsed once, in the order codes are given."""
+    distinct date string is parsed once, in the order codes are given, and
+    kept as its day's ordinal, which a child sends back far faster than a
+    date object."""
 
     def __init__(self):
         self.bank_code: dict[str, int] = {}
         self.date_code: dict[str, int] = {}
-        self.days: list[datetime.date] = []
+        self.days: list[int] = []
         self.banks, self.dates = array("q"), array("q")
         self.assets, self.liabilities = array("d"), array("d")
 
@@ -179,7 +196,7 @@ def _read_rows(reader, path: Path, picks, cols: _Columns) -> None:
             day = row[d_col].strip()
             if day not in date_code:
                 date_code[day] = len(days)
-                days.append(datetime.date.fromisoformat(day))
+                days.append(datetime.date.fromisoformat(day).toordinal())
             a_val, l_val = float(row[a_col]), float(row[l_col])
         except (IndexError, ValueError) as exc:
             raise IngestError(f"{path}:{reader.line_num}: malformed row: {exc}") from exc
@@ -271,7 +288,7 @@ def _read_plain(text: str, width: int, picks, cols: _Columns) -> bool:
     if "" in new_banks:
         return False
     try:
-        parsed = list(map(datetime.date.fromisoformat, new_days))
+        parsed = [datetime.date.fromisoformat(day).toordinal() for day in new_days]
         assets = _floats(fields[a_col::width])
         liabilities = _floats(fields[l_col::width])
     except ValueError:
@@ -401,7 +418,8 @@ def _read_columns(spec: IngestSpec, path: Path, by_row: bool = False):
     a_mat, l_mat = np.full(shape, np.nan), np.full(shape, np.nan)
     a_mat.reshape(-1)[cell] = np.frombuffer(cols.assets)
     l_mat.reshape(-1)[cell] = np.frombuffer(cols.liabilities)
-    return ids, tuple(day.isoformat() for day in days), count, a_mat, l_mat
+    labels = tuple(datetime.date.fromordinal(day).isoformat() for day in days)
+    return ids, labels, count, a_mat, l_mat
 
 
 def ingest_panel(spec: IngestSpec) -> IngestResult:
@@ -456,13 +474,30 @@ def ingest_panel(spec: IngestSpec) -> IngestResult:
     return IngestResult(panel, complete, bs.census(panel), report)
 
 
+# a panel is formatted by forked workers only if each gets at least this many
+# runs, net of the rows' text that a child sends back: a row counts as minus
+# 1 / _SENT_ROWS_PER_RUN of a run. Timed as the write of a fresh process
+# (2-vCPU x86-64): a run takes 0.4-0.5 us to format, and a second worker
+# costs about 2 ms plus about 1 ns a byte to send back; on the 80 x 5,000
+# simulated panel (11,574 runs in 400,080 rows of 52 bytes) two workers lost
+# 17 ms, and with 40,000 runs in those rows they broke even. Reporting panels
+# of 60 quarters, one run a row, broke even at 100 banks (6,000 runs) and
+# gained 11 ms at 640 banks (38,400 runs)
+_MIN_WRITE_RUNS = 1 << 12
+_SENT_ROWS_PER_RUN = 10
+
+
 def write_panel_csv(panel: bs.Panel, path: Path) -> None:
     """Rows sorted by (bank_id, date), each date as the panel labels it.
 
-    The file is written a bank at a time. A bank's balance sheet stays as it
-    was in most periods, so each run of rows with the same (assets,
-    liabilities) is formatted once. Runs compare bits, not values: 0.0 and
-    -0.0 are equal with different reprs."""
+    A bank's balance sheet stays as it was in most periods, so each run of
+    rows with the same (assets, liabilities) is formatted once. Runs compare
+    bits, not values: 0.0 and -0.0 are equal with different reprs. In one
+    process the file is written a bank at a time. Where ``workers`` gives
+    more than one for the runs (see ``_MIN_WRITE_RUNS``), the banks are split
+    into contiguous blocks of about equal run counts; this process formats
+    the first and a forked child each other one (see ``_forked.forked``), and
+    the blocks are written in bank order."""
     dates = [f",{label}," for label in panel.dates]
     assets, liabilities = panel.assets, panel.liabilities
     seen = ~np.isnan(assets)
@@ -472,23 +507,35 @@ def write_panel_csv(panel: bs.Panel, path: Path) -> None:
     start = np.ones(assets.shape, dtype=bool)
     start[1:] = (bits_a[1:] != bits_a[:-1]) | (bits_l[1:] != bits_l[:-1])
     start &= seen
-    # each run's pair and row count, in file order
+    # each run's pair and row count, in file order; bank k's runs are
+    # edges[k]:edges[k + 1]
     run_a, run_l = assets.T[start.T], liabilities.T[start.T]
-    run_rows = np.diff(np.flatnonzero(start.T[seen.T]), append=np.count_nonzero(seen))
+    n_rows = np.count_nonzero(seen)
+    run_rows = np.diff(np.flatnonzero(start.T[seen.T]), append=n_rows)
+    edges = [0, *np.cumsum(start.sum(axis=0)).tolist()]
+    bank_rows = seen.sum(axis=0).tolist()
 
-    def chunks():
-        yield "bank_id,date,assets,liabilities\n"
-        hi = 0
-        for k, (bank, n_rows, n_runs) in enumerate(zip(
-                panel.bank_ids, seen.sum(axis=0).tolist(), start.sum(axis=0).tolist())):
-            lo, hi = hi, hi + n_runs
+    def banks(first, stop):
+        for k in range(first, stop):
+            lo, hi = edges[k], edges[k + 1]
             pairs = [f"{a!r},{l!r}\n" for a, l in zip(run_a[lo:hi].tolist(), run_l[lo:hi].tolist())]
-            pieces = [_csv_field(bank)] * (3 * n_rows)
+            pieces = [_csv_field(panel.bank_ids[k])] * (3 * bank_rows[k])
             pieces[1::3] = compress(dates, seen[:, k].tolist())
             pieces[2::3] = chain.from_iterable(map(repeat, pairs, run_rows[lo:hi].tolist()))
             yield "".join(pieces)
 
-    _write(path, chunks())
+    header, n_banks, n_runs = "bank_id,date,assets,liabilities\n", len(bank_rows), len(run_a)
+    k = workers(n_runs - n_rows // _SENT_ROWS_PER_RUN, _MIN_WRITE_RUNS)
+    if k == 1:
+        _write(path, chain([header], banks(0, n_banks)))
+        return
+    # block b starts at the first bank whose runs start at or after b / k of them
+    cuts = [0, *np.searchsorted(edges, [n_runs * b // k for b in range(1, k)]).tolist(), n_banks]
+
+    def block(first, stop):
+        return "".join(banks(first, stop))
+    parts = forked([partial(block, lo, hi) for lo, hi in zip(cuts, cuts[1:]) if lo < hi])
+    _write(path, [header, *parts])
 
 
 def write_curve_csv(curve: net.ClusterCurve, path: Path) -> None:

@@ -96,13 +96,26 @@ def growth_records(panel: Panel) -> tuple[GrowthRecord, ...]:
     return tuple(map(GrowthRecord, panel.bank_ids, lev_growth.tolist(), assets_growth.tolist()))
 
 
+def _median(values: list[float]) -> float:
+    """``np.median(values)`` to the bit, for a non-empty list, without the
+    NaN check that imports ``numpy.ma`` at its first call: the same partition,
+    the mean of the middle one or two values, or the last value if it is NaN.
+    The partition, with numpy's own kth, picks the same elements down to a
+    zero's sign and a NaN's payload, which ``np.sort`` does not always keep."""
+    half, odd = divmod(len(values), 2)
+    part = np.partition(values, [half, -1] if odd else [half - 1, half, -1])
+    if np.isnan(part[-1]):
+        return float(part[-1])
+    return float(np.mean(part[half - 1 + odd:half + 1]))
+
+
 def run_record(panel: Panel, run_index: int) -> RunRecord:
     """The record of one replication from its panel: the most-correlated
     pair, every bank's growth and the population medians."""
     a, b, r = most_correlated_pair(leverage_correlation(panel))
     records = growth_records(panel)
-    med_lev = float(np.median([g.leverage_growth for g in records]))
-    med_ast = float(np.median([g.assets_growth for g in records]))
+    med_lev = _median([g.leverage_growth for g in records])
+    med_ast = _median([g.assets_growth for g in records])
     return RunRecord(run_index, a, b, r, records, med_lev, med_ast)
 
 

@@ -3,9 +3,12 @@ import math
 import os
 import pickle
 import signal
+import subprocess
+import sys
 import time
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -201,6 +204,39 @@ class TestReplicationStudy:
     def test_rejects_bad_runs(self):
         with pytest.raises(ValueError):
             replication_study(STUDY_CFG, 0)
+
+
+# values whose order, sum or sign of zero could set a median apart
+MEDIAN_VALUES = (0.0, -0.0, 1.0, -1.0, math.inf, -math.inf, math.nan, 1e308, -1e308,
+                 5e-324, -5e-324)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.lists(st.one_of(st.sampled_from(MEDIAN_VALUES), st.floats()), min_size=1,
+                max_size=12))
+def test_median_is_numpys_to_the_bit(values):
+    with np.errstate(invalid="ignore", over="ignore"):  # inf - inf, 1e308 + 1e308
+        expected = np.median(values)
+        got = growth._median(values)
+    assert type(got) is float
+    assert np.float64(got).tobytes() == np.float64(expected).tobytes()
+
+
+def test_a_small_study_does_not_import_numpy_ma(tmp_path):
+    """np.median's NaN check imports numpy.ma, several ms of a study process."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(Path(growth.__file__).parents[1]), os.environ.get("PYTHONPATH")])))
+
+    def loads_numpy_ma(code):
+        out = subprocess.run([sys.executable, "-c", f"{code}\nimport sys\n"
+                              "print('numpy.ma' in sys.modules)"],
+                             env=env, capture_output=True, text=True, check=True, timeout=120)
+        return out.stdout.split()[-1] == "True"
+    if loads_numpy_ma("import numpy"):
+        pytest.skip("importing numpy loads numpy.ma")
+    argv = ["study", "--seed", "1", "--runs", "2", "--n-periods", "500",
+            "--out", str(tmp_path / "study.csv")]
+    assert not loads_numpy_ma(f"from levnet.cli import main\nassert main({argv!r}) == 0")
 
 
 # the pool runs where this process can fork and set OpenBLAS's thread count

@@ -339,12 +339,19 @@ def test_workers_follow_the_cpus_the_size_and_the_threads(monkeypatch):
         assert ranges(1 << 30) == 1
         return
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    # the 80 x 5,000 simulated panel and the 724-bank reporting panel
+    # the 80 x 5,000 simulated panel, the 724-bank reporting panel and the
+    # panel that ingest writes from it
     assert ranges(20_668_729) == 2
-    assert ranges(1_770_000) == 1
+    assert ranges(1_778_430) == 2
+    assert ranges(1_649_476) == 2
+    # a second range from twice the floor: the 4 x 5,000 simulated panel is one
+    assert ranges(2 * cli._MIN_RANGE_BYTES - 1) == 1
+    assert ranges(1_030_106) == 1
+    assert ranges(2 * cli._MIN_RANGE_BYTES) == 2
     assert ranges(0) == 1
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
-    assert ranges(20_668_729) == 4
+    assert ranges(20_668_729) == 8
+    assert ranges(1_778_430) == 3
     assert ranges(1 << 30) == 8
     done = threading.Event()
     thread = threading.Thread(target=done.wait, args=(10,))
