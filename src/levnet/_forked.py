@@ -1,8 +1,9 @@
 """Run independent calls in forked children of this process.
 
-The ranged panel read, the panel writer and the replication study each split
-their work into independent zero-argument calls. ``forked`` runs the first in this process
-and each other one in a forked child, which sends its result back pickled
+The ranged panel read and the panel writer (``levnet.panel_io``) and the
+replication study (``levnet.growth``) each split their work into independent
+zero-argument calls. ``forked`` runs the first in this process and each
+other one in a forked child, which sends its result back pickled
 through a pipe. A call whose child could not start, failed, died or sent a
 short result runs again here, so a result never depends on whether a child
 ran. ``workers`` says how many processes a piece of work is worth.
@@ -127,20 +128,20 @@ def _openblas_threads():
     return None
 
 
-def one_blas_thread():
-    """A context that holds OpenBLAS to one thread in this process, and so in
-    every child it forks meanwhile, and restores the old count when it ends;
-    None where numpy's OpenBLAS thread count cannot be set. Forked workers
-    beside OpenBLAS's spinning helper threads run slower than one process."""
-    threads = _openblas_threads()
-    return None if threads is None else _capped(*threads)
-
-
 @contextmanager
-def _capped(get: Callable[[], int], set_: Callable[[int], None]):
+def one_blas_thread(k: int):
+    """A context that yields how many of ``k`` wanted workers to run: ``k``,
+    with OpenBLAS held to one thread in this process and every child it forks
+    meanwhile (its spinning helper threads slow forked workers) and the old
+    count restored at the end; 1 where ``k`` is 1 or the count cannot be set."""
+    threads = _openblas_threads() if k > 1 else None
+    if threads is None:
+        yield 1
+        return
+    get, set_ = threads
     old = get()
     set_(1)
     try:
-        yield
+        yield k
     finally:
         set_(old)

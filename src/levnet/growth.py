@@ -152,10 +152,7 @@ def replication_study(config: SimConfig, runs: int) -> ReplicationStudy:
     if runs < 1:
         raise ValueError(f"runs must be >= 1, got {runs}")
     k = min(runs, workers(runs * config.n_banks * config.n_periods, _MIN_STUDY_WORK))
-    capped = one_blas_thread() if k > 1 else None
-    if capped is None:
-        return ReplicationStudy(runs, config.seed, _study_runs(config, 0, runs))
-    with capped:
+    with one_blas_thread(k) as k:
         blocks = forked([partial(_study_runs, config, runs * b // k, runs * (b + 1) // k)
                          for b in range(k)])
     return ReplicationStudy(runs, config.seed, tuple(chain.from_iterable(blocks)))

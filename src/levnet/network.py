@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from itertools import compress
-from typing import Iterable, Iterator, Literal, Sequence
+from typing import Iterable, Literal, Sequence
 
 import numpy as np
 
@@ -116,17 +116,6 @@ class CorrelationMatrix:
 
     def entry(self, i: int, j: int) -> float:
         return float(self.values[i, j])
-
-    def defined_pairs(self) -> Iterator[tuple[int, int, float]]:
-        """Upper-triangle (i, j, r) triples with a defined coefficient, in lexicographic order."""
-        ii, jj, r = _pairs(self)
-        yield from zip(ii.tolist(), jj.tolist(), r.tolist())
-
-
-def _pairs(matrix: CorrelationMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Defined upper-triangle pairs as arrays (i, j, r) in lexicographic order."""
-    ii, jj = np.nonzero(np.triu(~np.isnan(matrix.values), k=1))  # row-major
-    return ii, jj, matrix.values[ii, jj]
 
 
 def _check_mode(mode: LinkMode) -> None:

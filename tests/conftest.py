@@ -166,6 +166,18 @@ def random_correlation_matrix(rng: np.random.Generator, n: int) -> CorrelationMa
     return CorrelationMatrix(tuple(f"N{i:03d}" for i in range(n)), vals)
 
 
+def pair_arrays(matrix: CorrelationMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The defined upper-triangle pairs as arrays (i, j, r), in lexicographic order."""
+    ii, jj = np.nonzero(np.triu(~np.isnan(matrix.values), k=1))  # row-major
+    return ii, jj, matrix.values[ii, jj]
+
+
+def defined_pairs(matrix: CorrelationMatrix) -> list[tuple[int, int, float]]:
+    """The defined upper-triangle (i, j, r) triples, in lexicographic order."""
+    ii, jj, r = pair_arrays(matrix)
+    return list(zip(ii.tolist(), jj.tolist(), r.tolist()))
+
+
 needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="no process is forked")
 
 

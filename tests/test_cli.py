@@ -409,6 +409,16 @@ class TestConfigFile:
         with pytest.raises(ConfigError):
             read_sim_config(path)
 
+    def test_a_file_that_is_not_utf8_is_a_config_error(self, tmp_path, capsys):
+        path = tmp_path / "bad.cfg"
+        path.write_bytes(b"n_banks = 5\n# caf\xe9\n")
+        out = tmp_path / "sim"
+        assert main(["simulate", "--seed", "1", "--config", str(path),
+                     "--out-dir", str(out)]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: not UTF-8 text: ") and "0xe9" in err
+        assert not out.exists()
+
     def test_comments_and_tuples(self, tmp_path):
         path = write(tmp_path, "c.cfg",
                      "# comment\nassets_range = 100, 200  # inline\nseed = 11\n")

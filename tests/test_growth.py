@@ -240,7 +240,8 @@ def test_a_small_study_does_not_import_numpy_ma(tmp_path):
 
 
 # the pool runs where this process can fork and set OpenBLAS's thread count
-POOL = hasattr(os, "fork") and _forked.one_blas_thread() is not None
+with _forked.one_blas_thread(2) as _k:
+    POOL = hasattr(os, "fork") and _k == 2
 needs_pool = pytest.mark.skipif(not POOL, reason="the study runs in one process")
 # STUDY_CFG on the command line
 STUDY_FLAGS = ["--n-banks", "10", "--n-periods", "150", "--seed", "21"]

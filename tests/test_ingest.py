@@ -16,7 +16,7 @@ from array import array
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from levnet import cli
+from levnet import panel_io
 from levnet._forked import workers
 from levnet.cli import IngestError, IngestSpec, ingest_panel
 
@@ -210,9 +210,14 @@ def hostile_files(draw):
 
 
 def read_outcome(path, by_row):
+    """``_read_columns``'s matrices of the file, or its error; ``by_row``
+    reads every file through the csv row loop alone."""
     try:
-        ids, grid_dates, count, assets, liabilities = cli._read_columns(
-            IngestSpec(str(path)), path, by_row=by_row)
+        with pytest.MonkeyPatch.context() as mp:
+            if by_row:
+                mp.setattr(panel_io, "_read_plain_file", lambda spec, path: None)
+            ids, grid_dates, count, assets, liabilities = panel_io._read_columns(
+                IngestSpec(str(path)), path)
     except IngestError as exc:
         return str(exc)
     return (ids, grid_dates, count.shape, count.tobytes(), assets.tobytes(),
@@ -224,7 +229,7 @@ PLAIN_HEAD = b"bank_id,date,assets,liabilities\na,2005-03-31,2,1\nb,2005-03-31,3
 def in_ranges(mp, k):
     """Split every plain file's data into ``k`` ranges, whatever its size and
     however many CPUs the process may use."""
-    mp.setattr(cli, "_MIN_RANGE_BYTES", 1)
+    mp.setattr(panel_io, "_MIN_RANGE_BYTES", 1)
     mp.setattr(os, "sched_getaffinity", lambda pid: set(range(k)), raising=False)
 
 
@@ -274,7 +279,7 @@ def test_block_reader_matches_the_row_loop(tmp_path_factory, data, block, limit,
             csv.field_size_limit(limit)
         expected = read_outcome(path, by_row=True)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(cli, "_BLOCK_BYTES", block)
+            mp.setattr(panel_io, "_BLOCK_BYTES", block)
             in_ranges(mp, ranges)
             assert read_outcome(path, by_row=False) == expected
     finally:
@@ -289,20 +294,20 @@ def test_floats_match_a_float_per_string(strings):
             return convert(strings).tobytes()
         except ValueError:
             return ValueError
-    assert converted(cli._floats) == converted(lambda s: array("d", map(float, s)))
+    assert converted(panel_io._floats) == converted(lambda s: array("d", map(float, s)))
 
 
 def test_block_that_is_not_plain_leaves_the_columns_as_they_were():
-    cols = cli._Columns()
+    cols = panel_io._Columns()
     picks = (0, 1, 2, 3)
-    assert cli._read_plain("a,2005-03-31,2,1\nb,2005-03-31,3,1\n", 4, picks, cols)
+    assert panel_io._read_plain("a,2005-03-31,2,1\nb,2005-03-31,3,1\n", 4, picks, cols)
 
     def state():
         return (dict(cols.bank_code), dict(cols.date_code), list(cols.days),
                 *(arr.tobytes() for arr in (cols.banks, cols.dates, cols.assets,
                                              cols.liabilities)))
     before = state()
-    assert not cli._read_plain("c,2005-06-30,2,1\na,2005-06-30,x,1\n", 4, picks, cols)
+    assert not panel_io._read_plain("c,2005-06-30,2,1\na,2005-06-30,x,1\n", 4, picks, cols)
     assert state() == before
 
 
@@ -311,8 +316,8 @@ def test_plain_file_never_reaches_the_row_loop(tmp_path, monkeypatch):
     path.write_text("bank_id,date,assets,liabilities\n\n a ,2005-03-31,2,1\n"
                     "b,2005-03-31 ,nan,1\n\na,2005-06-30,-Infinity,1_0", encoding="utf-8")
     expected = read_outcome(path, by_row=True)
-    monkeypatch.setattr(cli, "_BLOCK_BYTES", 7)
-    monkeypatch.setattr(cli, "_read_rows", None)
+    monkeypatch.setattr(panel_io, "_BLOCK_BYTES", 7)
+    monkeypatch.setattr(panel_io, "_read_rows", None)
     assert read_outcome(path, by_row=False) == expected
     assert expected[0] == ["a", "b"] and expected[2] == (2, 2)
 
@@ -334,7 +339,7 @@ def test_decode_error_is_the_row_loops_in_a_long_file(tmp_path, bad_row):
 
 def test_workers_follow_the_cpus_the_size_and_the_threads(monkeypatch):
     def ranges(n_bytes):
-        return workers(n_bytes, cli._MIN_RANGE_BYTES)
+        return workers(n_bytes, panel_io._MIN_RANGE_BYTES)
     if not hasattr(os, "fork"):
         assert ranges(1 << 30) == 1
         return
@@ -345,9 +350,9 @@ def test_workers_follow_the_cpus_the_size_and_the_threads(monkeypatch):
     assert ranges(1_778_430) == 2
     assert ranges(1_649_476) == 2
     # a second range from twice the floor: the 4 x 5,000 simulated panel is one
-    assert ranges(2 * cli._MIN_RANGE_BYTES - 1) == 1
+    assert ranges(2 * panel_io._MIN_RANGE_BYTES - 1) == 1
     assert ranges(1_030_106) == 1
-    assert ranges(2 * cli._MIN_RANGE_BYTES) == 2
+    assert ranges(2 * panel_io._MIN_RANGE_BYTES) == 2
     assert ranges(0) == 1
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
     assert ranges(20_668_729) == 8
@@ -382,31 +387,31 @@ def test_no_child_outlives_a_read(tmp_path, monkeypatch):
         assert_no_child_left()
 
     # three banks on a diagonal of three dates: nine cells over both caps
-    monkeypatch.setattr(cli, "_MAX_CELLS", 4)
-    monkeypatch.setattr(cli, "_MAX_CELLS_PER_ROW", 1)
+    monkeypatch.setattr(panel_io, "_MAX_CELLS", 4)
+    monkeypatch.setattr(panel_io, "_MAX_CELLS_PER_ROW", 1)
     path = tmp_path / "dense.csv"
     path.write_bytes(b"bank_id,date,assets,liabilities\na,2005-03-31,2,1\n"
                      b"b,2005-06-30,2,1\nc,2005-09-30,2,1\n")
     before = len(forks)
     with pytest.raises(IngestError, match="over the limit"):
-        cli._read_columns(IngestSpec(str(path)), path)
+        panel_io._read_columns(IngestSpec(str(path)), path)
     assert len(forks) == before + 2
     assert_no_child_left()
 
     # an interrupt while the children still read: they are killed, not
     # waited for, and reaped
-    parent, read_range = os.getpid(), cli._read_range
+    parent, read_range = os.getpid(), panel_io._read_range
 
     def interrupted(*args):
         if os.getpid() == parent:
             raise KeyboardInterrupt
         time.sleep(60)
         return read_range(*args)
-    monkeypatch.setattr(cli, "_read_range", interrupted)
+    monkeypatch.setattr(panel_io, "_read_range", interrupted)
     path = tmp_path / "plain.csv"
     before, started = len(forks), time.monotonic()
     with pytest.raises(KeyboardInterrupt):
-        cli._read_columns(IngestSpec(str(path)), path)
+        panel_io._read_columns(IngestSpec(str(path)), path)
     assert time.monotonic() - started < 30
     assert len(forks) == before + 2
     assert_no_child_left()
@@ -417,7 +422,7 @@ def test_no_child_outlives_a_read(tmp_path, monkeypatch):
         if os.getpid() != parent:
             time.sleep(60)
         return read_range(*args)
-    monkeypatch.setattr(cli, "_read_range", slow_children)
+    monkeypatch.setattr(panel_io, "_read_range", slow_children)
     path = tmp_path / "early fallback.csv"
     expected = read_outcome(path, by_row=True)
     before, started = len(forks), time.monotonic()
@@ -437,13 +442,16 @@ def test_a_failed_child_reads_as_one_range(tmp_path, monkeypatch, failure):
     expected = read_outcome(path, by_row=False)
     assert expected == read_outcome(path, by_row=True)
     # the failed child's range is read again here, not the file by the row loop
-    monkeypatch.setattr(cli, "_read_rows", None)
+    monkeypatch.setattr(panel_io, "_read_rows", None)
     in_ranges(monkeypatch, 3)
     forks = count_forks(monkeypatch)
-    parent, read_range, dumps = os.getpid(), cli._read_range, pickle.dumps
+    parent, read_range, dumps = os.getpid(), panel_io._read_range, pickle.dumps
+    read_here = []
 
     def failing(*args):
-        if os.getpid() != parent:
+        if os.getpid() == parent:
+            read_here.append(args[1:3])
+        else:
             if failure == "raises":
                 raise RuntimeError("a child's own error")
             if failure == "exits 1":
@@ -451,7 +459,7 @@ def test_a_failed_child_reads_as_one_range(tmp_path, monkeypatch, failure):
             if failure == "killed":
                 os.kill(os.getpid(), signal.SIGKILL)
         return read_range(*args)
-    monkeypatch.setattr(cli, "_read_range", failing)
+    monkeypatch.setattr(panel_io, "_read_range", failing)
     if failure == "short result":
         monkeypatch.setattr(pickle, "dump", lambda obj, file, *args: file.write(
             dumps(obj, *args)[:-1]))
@@ -461,4 +469,6 @@ def test_a_failed_child_reads_as_one_range(tmp_path, monkeypatch, failure):
         monkeypatch.setattr(os, "fork", refused)
     assert read_outcome(path, by_row=False) == expected
     assert len(forks) == (0 if failure == "cannot fork" else 2)
+    # the failed ranges were read again here, in file order
+    assert len(read_here) == 3 and read_here == sorted(read_here)
     assert_no_child_left()

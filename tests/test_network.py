@@ -18,7 +18,6 @@ from levnet.network import (
     LeverageNetwork,
     _correlation,
     _merge,
-    _pairs,
     cluster_curve,
     components,
     leverage_correlation,
@@ -27,7 +26,13 @@ from levnet.network import (
     top_m_network,
 )
 
-from conftest import panel_from_members, random_correlation_matrix, series_from_leverage
+from conftest import (
+    defined_pairs,
+    pair_arrays,
+    panel_from_members,
+    random_correlation_matrix,
+    series_from_leverage,
+)
 
 
 def pearson_oracle(x, y):
@@ -146,7 +151,7 @@ class TestCorrelationMatrix:
 
     def test_pair_count_75_banks(self, modular_panel):
         m = leverage_correlation(modular_panel)
-        pairs = list(m.defined_pairs())
+        pairs = defined_pairs(m)
         assert m.n == 75
         assert len(pairs) == 75 * 74 // 2 == 2775
         sym_err = np.max(np.abs(m.values - m.values.T))
@@ -205,7 +210,7 @@ class TestConstantBanks:
         undefined = np.isnan(m.values)
         assert (undefined[off] == (constant[:, None] | constant[None, :])[off]).all()
         assert (np.diag(m.values) == 1.0).all()
-        for i, j, r in m.defined_pairs():
+        for i, j, r in defined_pairs(m):
             assert r == pytest.approx(pearson(X[i], X[j]), abs=1e-12)
         for net in (threshold_network(m, -1.0), threshold_network(m, 0.0, "absolute")):
             assert not any(constant[i] or constant[j] for i, j, _ in net.edges)
@@ -475,7 +480,7 @@ class TestTopM:
             n = int(rng.integers(3, 15))
             matrix = random_correlation_matrix(rng, n)
             full = top_m_network(matrix, m=n * (n - 1) // 2)
-            lo = min(r for _, _, r in matrix.defined_pairs())
+            lo = min(r for _, _, r in defined_pairs(matrix))
             thresh = threshold_network(matrix, lo)
             assert {(i, j) for i, j, _ in full.edges} == {(i, j) for i, j, _ in thresh.edges}
 
@@ -599,7 +604,7 @@ def sorted_pairs_curve_oracle(matrix, grid, mode):
     """Single linkage over every defined pair: one stable descending sort of
     the link strengths, one union-find pass, the largest cluster read off as
     the sweep passes each rho."""
-    ii, jj, r = _pairs(matrix)
+    ii, jj, r = pair_arrays(matrix)
     strength = r if mode == "signed" else np.abs(r)
     order = np.argsort(-strength, kind="stable")
     ii, jj = ii[order], jj[order]
@@ -739,7 +744,7 @@ class TestSingleSweepOracles:
     @settings(max_examples=40, deadline=None)
     @given(tied_matrices)
     def test_top_m_is_threshold_network_at_its_cut(self, matrix):
-        ranked = sorted((r for _, _, r in matrix.defined_pairs()), reverse=True)
+        ranked = sorted((r for _, _, r in defined_pairs(matrix)), reverse=True)
         for k in range(1, len(ranked) + 1):
             net = top_m_network(matrix, m=k)
             assert net.threshold == ranked[k - 1]
@@ -752,7 +757,7 @@ class TestSingleSweepOracles:
     @given(st.integers(min_value=0, max_value=2 ** 32 - 1), st.integers(min_value=4, max_value=12))
     def test_top_m_cut_keeps_the_sign_of_zero_a_stable_sort_picks(self, seed, n):
         matrix = zero_signed_matrix(seed, n)
-        r = _pairs(matrix)[2]
+        r = pair_arrays(matrix)[2]
         assert {math.copysign(1.0, x) for x in r if x == 0.0} == {1.0, -1.0}
         ranked = r[np.argsort(-r, kind="stable")]
         for k in range(1, len(r) + 1):

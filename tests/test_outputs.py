@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from levnet import cli
+from levnet import panel_io
 from levnet.balance_sheet import Panel
 from levnet.cli import EXIT_OK, _csv_field, main, write_curve_csv, write_panel_csv, write_study_csv
 from levnet.growth import replication_study
@@ -83,8 +83,8 @@ def in_writers(mp, k):
     """Share every panel write among up to ``k`` processes, one block of
     banks each, whatever its runs and rows and however many CPUs the process
     may use."""
-    mp.setattr(cli, "_MIN_WRITE_RUNS", 1)
-    mp.setattr(cli, "_SENT_ROWS_PER_RUN", 1 << 62)
+    mp.setattr(panel_io, "_MIN_WRITE_RUNS", 1)
+    mp.setattr(panel_io, "_SENT_ROWS_PER_RUN", 1 << 62)
     mp.setattr(os, "sched_getaffinity", lambda pid: set(range(k)), raising=False)
 
 
@@ -128,10 +128,13 @@ def test_a_failed_writer_child_gives_the_same_bytes(tmp_path, monkeypatch, failu
     # four banks of one run each in three blocks: [a], [b], [c, d]
     in_writers(monkeypatch, 3)
     forks = count_forks(monkeypatch)
-    parent, field, dumps = os.getpid(), cli._csv_field, pickle.dumps
+    parent, field, dumps = os.getpid(), panel_io._csv_field, pickle.dumps
+    formatted_here = []
 
     def failing(text):
-        if os.getpid() != parent:
+        if os.getpid() == parent:
+            formatted_here.append(text)
+        else:
             if failure == "raises":
                 raise RuntimeError("a child's own error")
             if failure == "exits 1":
@@ -139,7 +142,7 @@ def test_a_failed_writer_child_gives_the_same_bytes(tmp_path, monkeypatch, failu
             if failure == "killed":
                 os.kill(os.getpid(), signal.SIGKILL)
         return field(text)
-    monkeypatch.setattr(cli, "_csv_field", failing)
+    monkeypatch.setattr(panel_io, "_csv_field", failing)
     if failure == "short result":
         monkeypatch.setattr(pickle, "dump", lambda obj, file, *args: file.write(
             dumps(obj, *args)[:-1]))
@@ -150,6 +153,8 @@ def test_a_failed_writer_child_gives_the_same_bytes(tmp_path, monkeypatch, failu
     write_panel_csv(_four_banks(), tmp_path / "panel.csv")
     assert (tmp_path / "panel.csv").read_bytes() == expected
     assert len(forks) == (0 if failure == "cannot fork" else 2)
+    # the failed blocks were formatted again here
+    assert formatted_here == ["a", "b", "c", "d"]
     assert_no_child_left()
 
 
@@ -167,7 +172,7 @@ def test_no_child_outlives_an_interrupted_write(tmp_path, monkeypatch):
             raise KeyboardInterrupt
         time.sleep(60)
         return text
-    monkeypatch.setattr(cli, "_csv_field", interrupted)
+    monkeypatch.setattr(panel_io, "_csv_field", interrupted)
     started = time.monotonic()
     with pytest.raises(KeyboardInterrupt):
         write_panel_csv(_four_banks(), path)
@@ -214,7 +219,7 @@ def _fail_in_third_bank(monkeypatch):
             raise OSError("no space left on device")
         return text
 
-    monkeypatch.setattr(cli, "_csv_field", field)
+    monkeypatch.setattr(panel_io, "_csv_field", field)
 
 
 @pytest.mark.parametrize("existing", [b"bank_id,date,assets,liabilities\nold,2005-03-31,2.0,1.0\n",
@@ -230,7 +235,7 @@ def test_a_write_that_fails_partway_leaves_the_old_file(tmp_path, monkeypatch, e
             write_panel_csv(_four_banks(), path)
     else:
         with pytest.raises(ValueError):  # JSON has no NaN: the dump stops at "b"
-            cli._write_json({"a": [1, 2, 3], "b": float("nan")}, path)
+            panel_io._write_json({"a": [1, 2, 3], "b": float("nan")}, path)
     assert os.listdir(tmp_path) == ([] if existing is None else ["out"])
     if existing is not None:
         assert path.read_bytes() == existing
@@ -294,7 +299,7 @@ def test_a_writer_makes_the_missing_directories(tmp_path, writer):
     elif writer == "study":
         write_study_csv(replication_study(SimConfig(n_banks=8, n_periods=40, seed=5), 1), path)
     else:
-        cli._write_json({"a": 1}, path)
+        panel_io._write_json({"a": 1}, path)
     assert os.listdir(path.parent) == ["out"]
     assert path.read_bytes().endswith(b"\n")
 

@@ -1,11 +1,16 @@
 """Every name a module exports exists and is re-exported by the package."""
 
+import ast
+import importlib.util
 import types
+from pathlib import Path
 
 import pytest
 
 import levnet
-from levnet import balance_sheet, growth, network, sim
+from levnet import balance_sheet, cli, growth, network, panel_io, sim
+
+ROOT = Path(__file__).resolve().parents[1]
 
 MODULES = (balance_sheet, growth, network, sim)
 
@@ -31,3 +36,58 @@ def test_per_period_engine_is_gone():
     gone = {"SimState", "SimEvent", "AdjacencyHistory", "LoanRecord", "init", "step",
             "grant_loan", "apply_shock", "settle_repayments"}
     assert not gone & set(vars(sim)) and not gone & set(vars(levnet))
+
+
+def names_imported_from_cli():
+    """Every name that the scripts, the tests and the benchmark import from
+    ``levnet.cli``."""
+    names = set()
+    for path in sorted({*ROOT.glob("scripts/*.py"), *ROOT.glob("tests/*.py"),
+                        *ROOT.glob("perfbench/*.py")}):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.module == "levnet.cli":
+                names.update(alias.name for alias in node.names)
+    return names
+
+
+def tracer_cli_bindings():
+    """The names the benchmark's tracer wraps in ``levnet.cli`` (``cli:`` sites)."""
+    spec = importlib.util.spec_from_file_location("trace_child",
+                                                  ROOT / "perfbench" / "trace_child.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    return {binding.partition(":")[2] for bindings, _ in tracer.SITES.values()
+            for binding in bindings if binding.startswith("cli:")}
+
+
+def test_cli_keeps_every_name_its_callers_use():
+    imported = names_imported_from_cli()
+    bound = tracer_cli_bindings()
+    assert {"_fmt", "_rho_grid", "_write", "read_sim_config", "write_curve_csv",
+            "write_study_csv", "ingest_panel", "write_panel_csv"} <= imported
+    assert {"ingest_panel", "write_panel_csv", "replication_study", "run"} <= bound
+    for name in imported | set(cli.__all__):
+        assert hasattr(cli, name), f"levnet.cli lost {name!r}"
+    # the tracer wraps a binding only if it is a function of cli's own namespace
+    for name in bound:
+        assert callable(vars(cli).get(name)), f"levnet.cli binds no {name!r}"
+    # a moved name is re-exported, not copied
+    for name in imported | bound | set(cli.__all__):
+        if name in vars(panel_io):
+            assert getattr(cli, name) is getattr(panel_io, name), name
+    assert cli.__all__ == [
+        "EXIT_COMPUTE", "EXIT_IO", "EXIT_OK", "EXIT_VALIDATION",
+        "IngestError", "IngestResult", "IngestSpec",
+        "cmd_curve", "cmd_ingest", "cmd_network", "cmd_simulate", "cmd_study",
+        "format_sim_config", "ingest_panel", "main", "read_sim_config",
+        "write_panel_csv",
+    ]
+    assert set(panel_io.__all__) <= set(cli.__all__)
+
+
+def test_panel_io_holds_the_reader_and_the_writers():
+    # the command module forks nothing and parses no csv itself
+    assert not {"csv", "array", "forked", "workers", "_forked"} & set(vars(cli))
+    for name in ("_read_columns", "_read_range", "_MIN_RANGE_BYTES", "_MAX_CELLS",
+                 "_MIN_WRITE_RUNS", "_SENT_ROWS_PER_RUN", "_BLOCK_BYTES"):
+        assert hasattr(panel_io, name) and not hasattr(cli, name), name
