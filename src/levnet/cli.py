@@ -11,6 +11,7 @@ Exit codes: 0 success, 2 validation/config error, 3 I/O error,
 from __future__ import annotations
 
 import argparse
+import gc
 import math
 import sys
 from dataclasses import asdict, fields, replace
@@ -303,6 +304,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    if argv is None:
+        # run as the program: what start-up and the imports made lives to
+        # exit, so once frozen no collection walks it, finalization's
+        # included; a caller that passes argv keeps its collector as it was
+        gc.freeze()
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)

@@ -14,6 +14,7 @@ import io
 import json
 import os
 import stat
+import sys
 from array import array
 from collections.abc import Iterable
 from dataclasses import dataclass
@@ -73,20 +74,41 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
+def _std_fd(st: os.stat_result) -> int | None:
+    """1 or 2 if ``st`` is the file open on this process's stdout or stderr."""
+    for fd in (1, 2):
+        try:
+            other = os.fstat(fd)
+        except OSError:  # the fd is closed
+            continue
+        if (other.st_dev, other.st_ino) == (st.st_dev, st.st_ino):
+            return fd
+    return None
+
+
 def _write(path: Path, chunks: Iterable[str]) -> None:
     """Write the strings ``chunks`` yields to ``path``, making its directory.
     They go to a sibling temp file that replaces ``path`` after the last
     chunk, and is removed if a chunk raises, so that ``path`` keeps its old
     bytes or has all the new ones. A symlink is followed: its final target is
-    replaced and the link stays. An existing file that is not a regular one,
+    replaced and the link stays. The file open on this process's stdout or
+    stderr, such as ``/dev/stdout`` redirected to a file, is written through
+    that open stream, after what was printed to it and before what is, as a
+    pipe would take it. Any other existing file that is not a regular one,
     such as a FIFO or a terminal, cannot be replaced and is written in place.
     Lines end in LF on every platform."""
     try:
-        in_place = not stat.S_ISREG(os.stat(path).st_mode)
+        st = os.stat(path)
     except FileNotFoundError:
-        in_place = False
-    if in_place:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
+        st = None
+    fd = st and _std_fd(st)
+    if fd:
+        # what was printed goes first; a new file object over the fd shares
+        # its offset and O_APPEND flag, and flushes when it closes
+        sys.stdout.flush()
+        sys.stderr.flush()
+    if fd or (st is not None and not stat.S_ISREG(st.st_mode)):
+        with open(fd or path, "w", encoding="utf-8", newline="", closefd=not fd) as fh:
             fh.writelines(chunks)
         return
     path = Path(os.path.realpath(path))

@@ -1,6 +1,9 @@
 import csv
+import gc
 import hashlib
 import json
+import os
+import subprocess
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -8,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import levnet
 from levnet.cli import (
     EXIT_COMPUTE,
     EXIT_IO,
@@ -816,3 +820,94 @@ class TestHostileFiles:
         assert result.panel.bank_ids == ("alpha", "beta")
         assert result.complete.bank_ids == ()
         assert (result.census.n_end, result.census.n_death) == (0, 2)
+
+
+# the process entry runs this checkout's levnet from any working directory
+ENTRY_ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+    str(Path(levnet.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")])))
+
+
+def run_entry(args, cwd, stdout=subprocess.PIPE):
+    """``python -m levnet *args`` in a fresh process: its exit code, stdout
+    (None when ``stdout`` is a file) and stderr."""
+    proc = subprocess.run([sys.executable, "-m", "levnet", *args], cwd=cwd, env=ENTRY_ENV,
+                          stdout=stdout, stderr=subprocess.PIPE, timeout=120)
+    return proc.returncode, proc.stdout, proc.stderr.decode()
+
+
+class TestProcessEntry:
+    """``python -m levnet`` calls ``main()`` as the program, which freezes the
+    import-time heap: it must write what an in-process ``main(argv)`` writes."""
+
+    CHAIN = [
+        (["simulate", "--out-dir", "sim", *SIM_ARGS],
+         ["sim/panel.csv", "sim/adjacency.csv", "sim/events.csv", "sim/summary.json"]),
+        (["ingest", "--input", "sim/panel.csv", "--out-dir", "ingest"],
+         ["ingest/panel.csv", "ingest/census.json"]),
+        (["network", "--input", "ingest/panel.csv", "--rho", "0.5", "--out-dir", "network"],
+         ["network/edges.csv", "network/components.csv", "network/summary.json"]),
+        (["curve", "--input", "ingest/panel.csv", "--out", "curve.csv"], ["curve.csv"]),
+        (["study", "--runs", "2", "--out", "study.csv", *STUDY_FLAGS], ["study.csv"]),
+    ]
+
+    def test_same_bytes_and_lines_as_main(self, tmp_path, monkeypatch, capsys):
+        # stdout is a regular file, so the summary line must reach a file too
+        entry, inside = tmp_path / "entry", tmp_path / "inside"
+        entry.mkdir()
+        inside.mkdir()
+        monkeypatch.chdir(inside)
+        for args, outputs in self.CHAIN:
+            with open(entry / "stdout.txt", "w") as fh:
+                code, _, err = run_entry(args, entry, stdout=fh)
+            assert (code, err) == (EXIT_OK, "")
+            assert main(args) == EXIT_OK
+            line = capsys.readouterr().out
+            assert line.count("\n") == 1 and (entry / "stdout.txt").read_text() == line
+            for name in outputs:
+                assert (entry / name).read_bytes() == (inside / name).read_bytes(), name
+
+    @pytest.mark.parametrize("args, expected", [
+        (["simulate", "--out-dir", "x", "--seed", "1", "--n-banks", "1"], EXIT_VALIDATION),
+        (["ingest", "--input", "missing.csv", "--out-dir", "x"], EXIT_IO),
+        (["network", "--input", "missing.csv", "--rho", "2", "--out-dir", "x"], EXIT_COMPUTE),
+    ], ids=["bad config value", "missing input", "network --rho 2"])
+    def test_exit_codes(self, tmp_path, monkeypatch, capsys, args, expected):
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run_entry(args, tmp_path)
+        assert main(args) == expected
+        assert (code, out.decode(), err) == (expected, "", capsys.readouterr().err)
+        assert not (tmp_path / "x").exists()
+
+    def test_only_the_program_entry_freezes_the_heap(self, tmp_path):
+        before = gc.get_freeze_count()
+        assert main(["study", "--runs", "1", "--out", str(tmp_path / "s.csv"),
+                     *STUDY_FLAGS]) == EXIT_OK
+        assert gc.get_freeze_count() == before
+        code = ("import gc, sys\nfrom levnet.cli import main\n"
+                "sys.argv = ['levnet', 'network', '--input', 'x', '--rho', '2', '--out-dir', 'y']\n"
+                "assert main() == 4\nprint(gc.get_freeze_count() > 0)")
+        out = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=ENTRY_ENV,
+                             capture_output=True, text=True, check=True, timeout=120).stdout
+        assert out == "True\n"
+
+
+@pytest.mark.skipif(not Path("/dev/stdout").exists(), reason="no /dev/stdout")
+@pytest.mark.parametrize("command", ["study", "curve"])
+def test_out_to_redirected_stdout_is_written_as_to_a_pipe(tmp_path, monkeypatch, capsys, command):
+    """``--out /dev/stdout`` with stdout redirected to a file: the file gets
+    the CSV, then the summary line, after what it held under ``>>``."""
+    monkeypatch.chdir(tmp_path)
+    write(tmp_path, "in.csv", WELL_FORMED)
+    args = {"study": ["study", "--runs", "1", *STUDY_FLAGS],
+            "curve": ["curve", "--input", "in.csv"]}[command]
+    assert main([*args, "--out", "ref.csv"]) == EXIT_OK
+    line = capsys.readouterr().out.replace("ref.csv", "/dev/stdout")
+    code, piped, _ = run_entry([*args, "--out", "/dev/stdout"], tmp_path)
+    assert (code, piped) == (EXIT_OK, (tmp_path / "ref.csv").read_bytes() + line.encode())
+    target = tmp_path / "out.txt"
+    for mode, before in (("w", b""), ("a", b"earlier\n")):
+        target.write_bytes(b"stale\n" if mode == "w" else before)
+        with open(target, mode) as fh:
+            code, _, _ = run_entry([*args, "--out", "/dev/stdout"], tmp_path, stdout=fh)
+        assert code == EXIT_OK
+        assert target.read_bytes() == before + piped, mode
