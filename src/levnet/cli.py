@@ -54,7 +54,7 @@ def read_sim_config(path: str | Path) -> SimConfig:
     names = {f.name for f in fields(SimConfig)}
     updates = {}
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             for lineno, raw in enumerate(fh, start=1):
                 line = raw.split("#", 1)[0].strip()
                 if not line:

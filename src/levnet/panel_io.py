@@ -8,6 +8,7 @@ replaces its file only once every chunk is written.
 
 from __future__ import annotations
 
+import codecs
 import csv
 import datetime
 import io
@@ -216,7 +217,7 @@ def _read_csv(spec: IngestSpec, path: Path) -> _Columns:
     the block reader to."""
     cols = _Columns()
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
             try:
                 header = next(reader, None)
@@ -364,7 +365,8 @@ def _read_plain_file(spec: IngestSpec, path: Path) -> _Columns | None:
     None for any other file, which the csv row loop reads from the top and
     words every error of."""
     with open(path, "rb") as fh:
-        line = fh.readline()
+        # one leading byte-order mark is no part of the header, as for utf-8-sig
+        line = fh.readline().removeprefix(codecs.BOM_UTF8)
         start, size = fh.tell(), os.fstat(fh.fileno()).st_size
         # a header the csv reader might split otherwise is left to it
         if (not line.rstrip(b"\n") or len(line) > csv.field_size_limit()

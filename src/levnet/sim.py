@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import datetime
 import functools
+import math
 from array import array
 from dataclasses import dataclass
 
@@ -51,6 +52,10 @@ __all__ = [
 
 class ConfigError(ValueError):
     """A simulation parameter violates its constraints."""
+
+
+# the largest rate Generator.poisson takes, computed as numpy computes it
+_POISSON_LAM_MAX = float(np.iinfo("l").max - np.sqrt(np.iinfo("l").max) * 10)
 
 
 @dataclass(frozen=True)
@@ -95,6 +100,9 @@ class SimConfig:
             raise ConfigError(f"liquidity_share must lie in (0, 1), got {c.liquidity_share}")
         if not (np.isfinite(c.arrival_rate) and c.arrival_rate >= 0):
             raise ConfigError(f"arrival_rate must be finite and >= 0, got {c.arrival_rate}")
+        if c.arrival_rate > _POISSON_LAM_MAX:
+            raise ConfigError(f"arrival_rate must be at most numpy's Poisson limit "
+                              f"{_POISSON_LAM_MAX!r}, got {c.arrival_rate}")
         if not (np.isfinite(c.loan_size) and c.loan_size > 0):
             raise ConfigError(f"loan_size must be finite and > 0, got {c.loan_size}")
         if not (np.isfinite(c.r_corporate) and np.isfinite(c.r_interbank)):
@@ -214,10 +222,13 @@ def run(config: SimConfig, rng: np.random.Generator | None = None) -> SimOutput:
     order of candidate lenders if it needs one (``permutation``) and, once
     granted, the deposit recipients (``choice`` without replacement); then
     the shock draw (``random``) and, if it hits, its bank (``integers``).
-    ``uniform``, ``poisson`` and ``permutation`` are Generator calls;
-    ``integers``, ``choice`` and ``random`` come from ``_draws``, which runs
+    ``uniform`` and ``permutation`` are Generator calls; ``integers``,
+    ``choice``, ``random`` and ``poisson`` come from ``_draws``, which runs
     numpy's algorithms for them on the bit generator, so each returns what
-    the Generator method would.
+    the Generator method would. The recipients' deposit shares divide by
+    their total weight, summed as numpy sums ``weights[recipients]``: one
+    term after another for fewer than 8 recipients, as numpy adds them too,
+    and by numpy itself from 8 on, where it adds in pairwise blocks.
     """
     config.validate()
     if rng is None:
@@ -251,9 +262,9 @@ def run(config: SimConfig, rng: np.random.Generator | None = None) -> SimOutput:
     ib_factor = 1.0 + r_ib
     drain = config.shock_factor * loan
     k_deposit = config.deposit_bank_count
-    rate, shock_probability = config.arrival_rate, config.shock_probability
-    integers, uniform01, choice = _draws(rng)
-    poisson, permutation = rng.poisson, rng.permutation
+    shock_probability = config.shock_probability
+    integers, uniform01, choice, poisson = _draws(rng)
+    arrivals, permutation = poisson(config.arrival_rate), rng.permutation
     due: dict[int, list[tuple[int, int, float]]] = {}
 
     for t in range(1, t_max + 1):
@@ -286,7 +297,7 @@ def run(config: SimConfig, rng: np.random.Generator | None = None) -> SimOutput:
             event((t, _REPAYMENT, i, j, loan))
 
         # 2. loan requests
-        for _ in range(int(poisson(rate))):
+        for _ in range(arrivals()):
             i = integers(n)
             j, borrowed = -1, 0.0
             own = liq[i]
@@ -317,7 +328,11 @@ def run(config: SimConfig, rng: np.random.Generator | None = None) -> SimOutput:
 
             # the loan returns to the system as deposits, split over a few banks
             recipients = choice(n, k_deposit)
-            total = float(weights[recipients].sum())
+            if k_deposit < 8:
+                # numpy adds fewer than 8 terms in order from the first, as this does
+                total = sum(map(weight.__getitem__, recipients), 0.0)
+            else:
+                total = float(weights[recipients].sum())
             for r in recipients:
                 inflow = loan * (weight[r] / total)
                 liq[r] += inflow
@@ -339,8 +354,10 @@ def run(config: SimConfig, rng: np.random.Generator | None = None) -> SimOutput:
             log_extend((t, b, liq[b] + ill[b] + corp[b] + claims[b], dep[b] + debt[b], eq[b]))
 
     # forward fill: each cell takes the bank's latest log entry at or before
-    # its period, found by a running maximum of log positions down each column
-    log_t, log_b, log_a, log_l, log_e = np.array(log).reshape(-1, 5).T
+    # its period, found by a running maximum of log positions down each column;
+    # the copy makes each of the five columns contiguous for the gathers
+    log_t, log_b, log_a, log_l, log_e = (
+        np.fromiter(log, np.float64, len(log)).reshape(-1, 5).T.copy())
     latest = np.zeros((t_max + 1, n), dtype=np.int64)
     latest[log_t.astype(np.int64), log_b.astype(np.int64)] = np.arange(log_t.size)
     np.maximum.accumulate(latest, axis=0, out=latest)
@@ -356,7 +373,7 @@ def run(config: SimConfig, rng: np.random.Generator | None = None) -> SimOutput:
 
 
 def _draws(rng: np.random.Generator):
-    """``integers``, ``random`` and ``choice`` on ``rng``'s stream.
+    """``integers``, ``random``, ``choice`` and ``poisson`` on ``rng``'s stream.
 
     Each follows numpy's algorithm for the Generator method of that name,
     drawing through the bit generator's ``ctypes`` interface. That interface
@@ -374,6 +391,10 @@ def _draws(rng: np.random.Generator):
     - ``choice(n, k)``, 0 <= k <= n <= 2**32: ``Generator.choice(n, k,
       replace=False)`` as a list; Floyd's algorithm and a shuffle of the
       picks, or the Generator call where numpy shuffles a whole range.
+    - ``poisson(lam)``, 0 <= lam <= numpy's limit: a callable that returns
+      ``int(Generator.poisson(lam))`` at each call. Below 10 it runs numpy's
+      multiplication method on ``random`` with exp(-lam) taken once; lam 0
+      and lam 10 or more (numpy's PTRS method) are Generator calls.
     """
     bits = rng.bit_generator.ctypes
     state, next_uint32 = bits.state_address, bits.next_uint32
@@ -408,7 +429,22 @@ def _draws(rng: np.random.Generator):
             picks[i], picks[j] = picks[j], picks[i]
         return picks
 
-    return integers, random, choice
+    def poisson(lam: float):
+        if not 0 < lam < 10:
+            return lambda: int(rng.poisson(lam))
+        # numpy's random_poisson_mult: the count of uniforms whose running
+        # product stays above exp(-lam)
+        limit = math.exp(-lam)
+
+        def draw() -> int:
+            count, product = 0, random()
+            while product > limit:
+                count += 1
+                product *= random()
+            return count
+        return draw
+
+    return integers, random, choice, poisson
 
 
 def _columns(flat: list, codes: str) -> list[array]:

@@ -1,3 +1,4 @@
+import codecs
 import csv
 import gc
 import hashlib
@@ -379,6 +380,22 @@ class TestStudyCommand:
         assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["simulate", "study"])
+@pytest.mark.parametrize("rate, n_periods", [("1e300", "10"), ("1e19", "10"), ("1e19", "0")])
+def test_arrival_rate_over_numpys_poisson_limit_is_a_config_error(tmp_path, capsys, command,
+                                                                  rate, n_periods):
+    # numpy refuses such a rate at its first Poisson draw; the config check
+    # refuses it before any period, or none at all, is run
+    out = tmp_path / "out"
+    target = ["--out-dir", str(out)] if command == "simulate" else ["--runs", "2", "--out", str(out)]
+    assert main([command, "--seed", "1", "--n-periods", n_periods, "--arrival-rate", rate,
+                 *target]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert "at most numpy's Poisson limit 9.22337200648477" in err
+    assert "computation error" not in err
+    assert not out.exists()
+
+
 class TestConfigFile:
     def test_default_file_matches_dataclass_defaults(self):
         path = Path(__file__).resolve().parent.parent / "configs" / "default.cfg"
@@ -422,6 +439,11 @@ class TestConfigFile:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {path}: not UTF-8 text: ") and "0xe9" in err
         assert not out.exists()
+
+    def test_a_byte_order_mark_is_skipped(self, tmp_path):
+        path = tmp_path / "bom.cfg"
+        path.write_bytes(codecs.BOM_UTF8 + b"n_banks = 5\nseed = 2\n")
+        assert read_sim_config(path) == SimConfig(n_banks=5, seed=2)
 
     def test_comments_and_tuples(self, tmp_path):
         path = write(tmp_path, "c.cfg",

@@ -2,6 +2,7 @@
 defects, and the block reader, in one byte range or in several read by forked
 children, against the csv row loop on hostile files."""
 
+import codecs
 import csv
 import datetime
 import errno
@@ -18,7 +19,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from levnet import panel_io
 from levnet._forked import workers
-from levnet.cli import IngestError, IngestSpec, ingest_panel
+from levnet.cli import EXIT_OK, IngestError, IngestSpec, ingest_panel, main
 
 from conftest import assert_no_child_left, bank_series, count_forks, needs_fork
 
@@ -163,7 +164,7 @@ ODD_FIELDS = {"bank_id": ("", "  ", '"Banco, SA"', '"q"', 'x"y', "n\0"),
 ODD_VALUES = ('"2"', "1e", "abc", "7\r", "1\0", LONG, LONG)
 ODD_LINES = ("", "   ", ",,,", "a,2005-03-31", "a,2005-03-31,2,1,9,9")
 EDITS = ("field", "field", "field", "field", "shift", "line", "short", "long", "crlf", "cr",
-         "byte")
+         "byte", "bom")
 
 
 @st.composite
@@ -180,8 +181,11 @@ def hostile_files(draw):
                     for k in range(1000)]
     rows.insert(0, names)
     endings = ["\n"] * len(rows)
-    byte_at = None
+    byte_at, boms = None, 0
     for edit in draw(st.lists(st.sampled_from(EDITS), max_size=3)):
+        if edit == "bom":
+            boms += 1  # one leading byte-order mark is skipped, a second is text
+            continue
         k = draw(st.integers(0, len(rows) - 1))
         if not rows[k] and edit in ("field", "shift"):
             continue  # an earlier edit emptied the row: no field to edit or move
@@ -202,7 +206,7 @@ def hostile_files(draw):
     text = "".join(",".join(row) + end for row, end in zip(rows, endings))
     if draw(st.booleans()):
         text = text.rstrip("\r\n")
-    data = text.encode("utf-8")
+    data = codecs.BOM_UTF8 * boms + text.encode("utf-8")
     if byte_at is not None:
         at = byte_at % (len(data) + 1)
         data = data[:at] + b"\xff" + data[at:]
@@ -268,6 +272,8 @@ def in_ranges(mp, k):
 # the second range spells both days without dashes
 @example(data=PLAIN_HEAD + b"a,2005-06-30,2,1\nb,20050630,3,1\nc,20050331,4,1\n",
          block=1 << 16, limit=None, ranges=2)
+@example(data=codecs.BOM_UTF8 + PLAIN_HEAD, block=8, limit=None, ranges=2)
+@example(data=codecs.BOM_UTF8 * 2 + PLAIN_HEAD, block=8, limit=None, ranges=1)
 @given(data=hostile_files(), block=st.sampled_from([1, 2, 3, 5, 8, 13, 64, 1 << 16]),
        limit=st.sampled_from([None, 48]), ranges=st.sampled_from([1, 1, 2, 3]))
 def test_block_reader_matches_the_row_loop(tmp_path_factory, data, block, limit, ranges):
@@ -309,6 +315,27 @@ def test_block_that_is_not_plain_leaves_the_columns_as_they_were():
     before = state()
     assert not panel_io._read_plain("c,2005-06-30,2,1\na,2005-06-30,x,1\n", 4, picks, cols)
     assert state() == before
+
+
+@pytest.mark.parametrize("by_row", [False, True], ids=["block reader", "row loop"])
+def test_a_byte_order_mark_is_skipped(tmp_path, monkeypatch, by_row):
+    """Excel's "CSV UTF-8" export opens with a byte-order mark: a copy of a
+    panel with one ingests to the bytes the panel does, by either reader."""
+    assert main(["simulate", "--seed", "1", "--n-banks", "8", "--n-periods", "40",
+                 "--out-dir", str(tmp_path / "sim")]) == EXIT_OK
+    panel = tmp_path / "sim" / "panel.csv"
+    marked = tmp_path / "bom" / "panel.csv"  # census.json names the file
+    marked.parent.mkdir()
+    marked.write_bytes(codecs.BOM_UTF8 + panel.read_bytes())
+    assert main(["ingest", "--input", str(panel), "--out-dir", str(tmp_path / "plain")]) == EXIT_OK
+    if by_row:
+        monkeypatch.setattr(panel_io, "_read_plain_file", lambda spec, path: None)
+    else:
+        monkeypatch.setattr(panel_io, "_read_rows", None)
+    assert main(["ingest", "--input", str(marked), "--out-dir", str(tmp_path / "marked")]) == \
+        EXIT_OK
+    for name in ("panel.csv", "census.json"):
+        assert (tmp_path / "marked" / name).read_bytes() == (tmp_path / "plain" / name).read_bytes()
 
 
 def test_plain_file_never_reaches_the_row_loop(tmp_path, monkeypatch):

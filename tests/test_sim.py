@@ -2,6 +2,7 @@
 reference engine (``tests/sim_reference.py``), ``run`` against it, and
 ``run``'s draws against numpy's Generator."""
 
+import re
 from collections import Counter
 from dataclasses import fields, replace
 from unittest import mock
@@ -13,7 +14,8 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 from levnet import growth
 from levnet.cli import EXIT_COMPUTE, EXIT_OK, main, write_study_csv
 from levnet.balance_sheet import filter_complete
-from levnet.sim import EVENT_KINDS, ConfigError, SimConfig, _draws, bank_label, period_date, run
+from levnet.sim import (
+    _POISSON_LAM_MAX, EVENT_KINDS, ConfigError, SimConfig, _draws, bank_label, period_date, run)
 
 from conftest import bank_series
 from sim_reference import (
@@ -77,10 +79,21 @@ class TestConfig:
         dict(shock_probability=1.5),
         dict(shock_factor=-0.1),
         dict(seed=-3),
+        dict(arrival_rate=float(np.nextafter(_POISSON_LAM_MAX, np.inf))),
+        dict(arrival_rate=1e300),
     ])
     def test_rejects(self, kwargs):
         with pytest.raises(ConfigError):
             replace(SimConfig(), **kwargs).validate()
+
+    def test_arrival_rate_up_to_numpys_poisson_limit(self):
+        # numpy's POISSON_LAM_MAX, which Generator.poisson still takes
+        assert _POISSON_LAM_MAX == np.iinfo("l").max - np.sqrt(np.iinfo("l").max) * 10
+        np.random.default_rng(0).poisson(_POISSON_LAM_MAX)
+        SimConfig(arrival_rate=_POISSON_LAM_MAX).validate()
+        with pytest.raises(ConfigError, match=re.escape(
+                f"at most numpy's Poisson limit {_POISSON_LAM_MAX!r}, got 1e+19")):
+            SimConfig(arrival_rate=1e19).validate()
 
 
 class TestInit:
@@ -447,7 +460,9 @@ def test_run_at_the_calibrated_size_matches_the_reference_engine(bit_generator, 
 # -- the draw helper against numpy's Generator -------------------------------
 
 BIT_GENERATORS = ("PCG64", "PCG64DXSM", "MT19937", "Philox", "SFC64")
-DRAWS = ("integers", "random", "choice")
+DRAWS = ("integers", "random", "choice", "poisson")
+# numpy draws Poisson counts by multiplying uniforms below 10 and by PTRS from 10 up
+POISSON_EDGES = (0.0, 5e-324, 0.4, float(np.nextafter(10.0, 0.0)), 10.0, _POISSON_LAM_MAX)
 
 
 @st.composite
@@ -455,6 +470,9 @@ def draw_calls(draw):
     """One call of a ``_draws`` callable or of ``Generator.permutation``, with
     arguments in its domain, weighted to the edges of numpy's branches."""
     kind = draw(st.sampled_from(DRAWS + ("permutation",)))
+    if kind == "poisson":
+        return kind, draw(st.sampled_from(POISSON_EDGES) | st.floats(0.0, 10.0)
+                          | st.floats(10.0, 1e12))
     if kind == "integers":
         return kind, draw(st.integers(2, 100) | st.integers(2, 2**32)
                           | st.sampled_from([2**31, 2**31 + 1, 2**32 - 1, 2**32]))
@@ -475,6 +493,8 @@ def generator_call(rng, call):
         return rng.random()
     if kind == "choice":
         return rng.choice(*args, replace=False).tolist()
+    if kind == "poisson":
+        return int(rng.poisson(*args))
     return rng.permutation(*args).tolist()
 
 
@@ -487,6 +507,8 @@ def generator_call(rng, call):
                                       ("integers", 7)])
 @example(name="PCG64DXSM", seed=6,
          calls=[("integers", 2**31), ("integers", 2**31 + 1)] * 4 + [("permutation", 5)])
+@example(name="PCG64", seed=7, calls=[("poisson", lam) for lam in POISSON_EDGES + (12.0,)]
+         + [("random",), ("poisson", 0.4), ("integers", 80), ("poisson", 9.5)])
 @given(name=st.sampled_from(BIT_GENERATORS), seed=st.integers(0, 2**64 - 1),
        calls=st.lists(draw_calls(), max_size=40))
 def test_draws_return_what_the_generator_returns(name, seed, calls):
@@ -496,9 +518,37 @@ def test_draws_return_what_the_generator_returns(name, seed, calls):
     bit_generator = getattr(np.random, name)
     rng, expected = np.random.Generator(bit_generator(seed)), np.random.Generator(bit_generator(seed))
     draws = dict(zip(DRAWS, _draws(rng)))
+    poisson = draws["poisson"]
+    draws["poisson"] = lambda lam: poisson(lam)()
     for call in calls:
         kind, *args = call
         got = rng.permutation(*args).tolist() if kind == "permutation" else draws[kind](*args)
         assert got == generator_call(expected, call), call
     # the same position, and the same buffered half of a 64-bit output
     assert rng.integers(2**32, size=3).tolist() == expected.integers(2**32, size=3).tolist()
+
+
+# -- the deposit total against numpy's sum -----------------------------------
+
+
+@given(seed=st.integers(0, 2**64 - 1), k=st.integers(1, 7),
+       scales=st.lists(st.floats(1e-300, 1e300), min_size=7, max_size=7))
+def test_deposit_total_below_8_recipients_is_numpys_sum(seed, k, scales):
+    """Below 8 terms ``run`` adds the recipients' weights in order from the
+    first, which is what numpy's sum of ``weights[recipients]`` does: on
+    drawn weights, and on weights scaled apart so that rounding shows."""
+    rng = np.random.default_rng(seed)
+    n = k + 1 + int(rng.integers(20))
+    _, _, choice, _ = _draws(rng)
+    for weights in (rng.uniform(0.0, 1.0, n), rng.uniform(0.0, 1.0, n) * np.resize(scales, n)):
+        weight, recipients = weights.tolist(), choice(n, k)
+        assert sum(map(weight.__getitem__, recipients), 0.0) == float(weights[recipients].sum())
+
+
+def test_numpy_sums_8_weights_otherwise():
+    """From 8 terms numpy sums in pairwise blocks, so an in-order sum differs
+    from it on some weights, and ``run`` keeps numpy's sum there; the
+    reference-engine tests hold it to numpy's sum over 8 to 12 recipients."""
+    rng = np.random.default_rng(8)
+    weights = [rng.uniform(0.0, 1.0, 8) for _ in range(200)]
+    assert any(sum(w.tolist(), 0.0) != float(w.sum()) for w in weights)
