@@ -5,7 +5,7 @@ and every writer are in ``levnet.panel_io``. All outputs are byte-identical
 for identical inputs, flags and seeds.
 
 Exit codes: 0 success, 2 validation/config error, 3 I/O error,
-4 computation error.
+4 computation error (out of memory included).
 """
 
 from __future__ import annotations
@@ -318,8 +318,8 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (ValueError, ArithmeticError) as exc:
-        print(f"computation error: {exc}", file=sys.stderr)
+    except (ValueError, ArithmeticError, MemoryError) as exc:
+        print(f"computation error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return EXIT_COMPUTE
 
 

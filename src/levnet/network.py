@@ -160,11 +160,11 @@ def _correlation(bank_ids: tuple[str, ...], X: np.ndarray) -> CorrelationMatrix:
         with np.errstate(invalid="ignore", divide="ignore"):
             np.divide(upper, _root_products(sq[lo:hi], sq[lo:]), out=upper)
         np.clip(upper, -1.0, 1.0, out=upper)
-        # the lower triangle is copied from the upper, so symmetry is exact,
-        # not up to BLAS rounding: left of the block, then inside it
+        # `upper` holds the block's whole square, which stays symmetric to the bit: numpy's
+        # Xc @ Xc.T is one syrk call that copies its upper triangle into the lower (without BLAS,
+        # (i, j) and (j, i) sum alike), and _root_products' products commute. So only left of
+        # the block is still undivided: copy it from the rows above
         vals[lo:hi, :lo] = vals[:lo, lo:hi].T
-        for i in range(lo + 1, hi):
-            vals[i, lo:i] = vals[lo:i, i]
     vals[flat, :] = math.nan
     vals[:, flat] = math.nan
     np.fill_diagonal(vals, 1.0)

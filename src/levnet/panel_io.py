@@ -22,13 +22,16 @@ from dataclasses import dataclass
 from functools import partial
 from itertools import chain, compress, repeat
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import balance_sheet as bs
-from . import network as net
 from ._forked import forked, workers
-from .growth import ReplicationStudy
+
+if TYPE_CHECKING:  # the layers above the panel, named only in annotations
+    from . import network as net
+    from .growth import ReplicationStudy
 
 __all__ = ["IngestError", "IngestResult", "IngestSpec", "ingest_panel", "write_panel_csv"]
 

@@ -396,6 +396,32 @@ def test_arrival_rate_over_numpys_poisson_limit_is_a_config_error(tmp_path, caps
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, message, expected", [
+    # numpy names the allocation that failed; a bare MemoryError is named by its type
+    ("network", "Unable to allocate 32.0 TiB for an array with shape (2097152, 2097152)",
+     "computation error: Unable to allocate 32.0 TiB for an array with shape (2097152, 2097152)"),
+    ("study", "", "computation error: MemoryError"),
+])
+def test_out_of_memory_is_a_computation_error(tmp_path, capsys, monkeypatch, command, message,
+                                              expected):
+    # the error is raised where the matrix is built, never provoked by allocating;
+    # the study runs in this process, so no child meets it first
+    def exhausted(panel):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(levnet.network, "leverage_correlation", exhausted)
+    monkeypatch.setattr(levnet.growth, "leverage_correlation", exhausted)
+    monkeypatch.setattr(levnet.growth, "workers", lambda work, floor: 1)
+    src = write(tmp_path, "p.csv", WELL_FORMED)
+    out = tmp_path / "out"
+    target = (["--input", str(src), "--rho", "0.5", "--out-dir", str(out)] if command == "network"
+              else ["--seed", "1", "--runs", "2", "--n-banks", "6", "--n-periods", "20",
+                    "--out", str(out)])
+    assert main([command, *target]) == EXIT_COMPUTE
+    assert capsys.readouterr().err == expected + "\n"
+    assert not out.exists()
+
+
 class TestConfigFile:
     def test_default_file_matches_dataclass_defaults(self):
         path = Path(__file__).resolve().parent.parent / "configs" / "default.cfg"

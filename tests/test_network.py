@@ -258,12 +258,17 @@ class TestConstantBanks:
 def dense_correlation_oracle(bank_ids, X):
     """The dense kernel the blocked one replaced: the whole cross-product
     matrix mirrored by ``triu_indices``, one ``outer`` product of the sums of
-    squares and one division; returns the values and the constant banks."""
+    squares and one division; returns the values and the constant banks.
+    The blocked kernel copies no cross product inside a block, so it holds
+    numpy's product to be symmetric bit for bit: asserted here first."""
     flat = (X == X[:, :1]).all(axis=1)
     Xc = X - X.mean(axis=1, keepdims=True)
     sq = np.einsum("ij,ij->i", Xc, Xc)
     flat |= sq == 0.0
     cross = Xc @ Xc.T
+    # int64 views: NaN rows compare equal to themselves only by their bits
+    assert np.array_equal(cross.view(np.int64), cross.T.view(np.int64)), \
+        "Xc @ Xc.T is not symmetric bit for bit: the kernel's blocks would be neither"
     iu = np.triu_indices(len(bank_ids), k=1)
     cross[(iu[1], iu[0])] = cross[iu]
     denom = np.outer(sq, sq)

@@ -91,3 +91,14 @@ def test_panel_io_holds_the_reader_and_the_writers():
     for name in ("_read_columns", "_read_range", "_MIN_RANGE_BYTES", "_MAX_CELLS",
                  "_MIN_WRITE_RUNS", "_SENT_ROWS_PER_RUN", "_BLOCK_BYTES"):
         assert hasattr(panel_io, name) and not hasattr(cli, name), name
+    # at run time panel_io imports nothing of the package above the panel
+    # layer; network and growth it names only under TYPE_CHECKING
+    tree = ast.parse(Path(panel_io.__file__).read_text(encoding="utf-8"))
+    typing_only = {id(node) for block in ast.walk(tree)
+                   if isinstance(block, ast.If) and ast.unparse(block.test) == "TYPE_CHECKING"
+                   for node in ast.walk(block)}
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level and id(node) not in typing_only:
+            imported |= {node.module} if node.module else {a.name for a in node.names}
+    assert imported == {"balance_sheet", "_forked"}
