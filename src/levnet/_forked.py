@@ -3,16 +3,17 @@
 The ranged panel read and the panel writer (``levnet.panel_io``) and the
 replication study (``levnet.growth``) each split their work into independent
 zero-argument calls. ``forked`` runs the first in this process and each
-other one in a forked child, which sends its result back pickled
-through a pipe. A call whose child could not start, failed, died or sent a
-short result runs again here, so a result never depends on whether a child
-ran. ``workers`` says how many processes a piece of work is worth.
+other one in a forked child, which sends its result back pickled through a
+pipe, and hands the results over in call order as they are taken. A call
+whose child could not start, failed, died or sent a short result runs again
+here, so a result never depends on whether a child ran. ``workers`` says how
+many processes a piece of work is worth.
 """
 
 from __future__ import annotations
 
 import os
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterator, Sequence
 from contextlib import contextmanager
 from typing import Any, TypeVar
 
@@ -49,9 +50,11 @@ def _fork(call: Callable[[], Any]):
     try:
         # safe beside numpy: OpenBLAS joins its threads in its own
         # pthread_atfork handler (so Python 3.12, which counts threads after
-        # that handler, has none to warn of), and the child runs one call,
-        # writes to its pipe and leaves through os._exit, so it runs no atexit
-        # handler and flushes none of the parent's buffered output
+        # that handler, has none to warn of). The child runs one call, writes
+        # to its pipe and always leaves through os._exit, never unwinding
+        # into its caller: it runs none of its callers' cleanup (such as
+        # ``_write`` removing its temp file) and no atexit handler, and it
+        # flushes none of the parent's buffered output
         pid = os.fork()
     except OSError:
         os.close(fd)
@@ -71,19 +74,20 @@ def _fork(call: Callable[[], Any]):
     return pid, open(fd, "rb")
 
 
-def forked(calls: Sequence[Callable[[], T]]) -> list[T]:
-    """Each call's result, in order. This process runs the first call, and a
-    forked child each other one. A call whose child could not be forked,
-    raised, exited nonzero, died by a signal or sent a short result runs
-    again here, so its error, if any, is raised here. On any exception every
-    live child is killed, and every child is reaped."""
+def forked(calls: Sequence[Callable[[], T]]) -> Iterator[T]:
+    """Each call's result, in order, as the caller takes it. At the first
+    take a child is forked for each call but the first, which this process
+    runs. A call whose child could not be forked, raised, exited nonzero,
+    died by a signal or sent a short result runs again here, so its error, if
+    any, is raised here. When the caller closes the iterator or a call
+    raises, every live child is killed, and every child is reaped."""
     children = {}  # call index -> (pid, read end of its pipe), until reaped
     try:
         for k in range(1, len(calls)):
             child = _fork(calls[k])
             if child is not None:
                 children[k] = child
-        results = [calls[0]()]
+        yield calls[0]()
         for k in range(1, len(calls)):
             sent = False
             if k in children:
@@ -96,8 +100,7 @@ def forked(calls: Sequence[Callable[[], T]]) -> list[T]:
                         pass
                 sent &= os.waitpid(pid, 0)[1] == 0  # not killed, and exited 0
                 del children[k]
-            results.append(result if sent else calls[k]())
-        return results
+            yield result if sent else calls[k]()
     finally:
         if children:
             import signal

@@ -153,6 +153,6 @@ def replication_study(config: SimConfig, runs: int) -> ReplicationStudy:
         raise ValueError(f"runs must be >= 1, got {runs}")
     k = min(runs, workers(runs * config.n_banks * config.n_periods, _MIN_STUDY_WORK))
     with one_blas_thread(k) as k:
-        blocks = forked([partial(_study_runs, config, runs * b // k, runs * (b + 1) // k)
-                         for b in range(k)])
-    return ReplicationStudy(runs, config.seed, tuple(chain.from_iterable(blocks)))
+        records = tuple(chain.from_iterable(forked(
+            [partial(_study_runs, config, runs * b // k, runs * (b + 1) // k) for b in range(k)])))
+    return ReplicationStudy(runs, config.seed, records)

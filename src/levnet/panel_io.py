@@ -18,6 +18,7 @@ import stat
 import sys
 from array import array
 from collections.abc import Iterable
+from contextlib import closing
 from dataclasses import dataclass
 from functools import partial
 from itertools import chain, compress, repeat
@@ -335,30 +336,19 @@ def _read_range(path: Path, start: int, stop: int, width: int, picks) -> _Column
             carry = data[cut:]
 
 
-class _NotPlain(Exception):
-    """The first range is not plain."""
-
-
 def _read_ranges(path: Path, ranges: list[tuple[int, int]], width: int, picks) -> _Columns | None:
-    """The rows of every byte range, in file order, or None if one is not
-    plain. This process reads the first range, and a forked child each other
+    """The rows of every byte range, in file order, or None at the first range
+    that is not plain, with the children still reading killed, not waited
+    for. This process reads the first range, and a forked child each other
     one (see ``_forked.forked``)."""
-    def first() -> _Columns:
-        # raised, so that the children are killed at once rather than waited for
-        cols = _read_range(path, *ranges[0], width, picks)
-        if cols is None:
-            raise _NotPlain
-        return cols
-    try:
-        parts = forked([first, *(partial(_read_range, path, lo, hi, width, picks)
-                                 for lo, hi in ranges[1:])])
-    except _NotPlain:
-        return None
-    if None in parts:
-        return None
-    cols = parts[0]
-    for part in parts[1:]:
-        cols.extend(part)
+    with closing(forked([partial(_read_range, path, lo, hi, width, picks)
+                         for lo, hi in ranges])) as parts:
+        if (cols := next(parts)) is None:
+            return None
+        for part in parts:
+            if part is None:
+                return None
+            cols.extend(part)
     return cols
 
 
@@ -499,12 +489,12 @@ def write_panel_csv(panel: bs.Panel, path: Path) -> None:
 
     A bank's balance sheet stays as it was in most periods, so each run of
     rows with the same (assets, liabilities) is formatted once. Runs compare
-    bits, not values: 0.0 and -0.0 are equal with different reprs. In one
-    process the file is written a bank at a time. Where ``workers`` gives
-    more than one for the runs (see ``_MIN_WRITE_RUNS``), the banks are split
-    into contiguous blocks of about equal run counts; this process formats
-    the first and a forked child each other one (see ``_forked.forked``), and
-    the blocks are written in bank order."""
+    bits, not values: 0.0 and -0.0 are equal with different reprs. The banks
+    are split into contiguous blocks of about equal run counts, one per
+    process that ``workers`` gives for the runs (see ``_MIN_WRITE_RUNS``).
+    This process writes the first block a bank at a time, and a forked child
+    formats each other one (see ``_forked.forked``); the blocks are written
+    in bank order."""
     dates = [f",{label}," for label in panel.dates]
     assets, liabilities = panel.assets, panel.liabilities
     seen = ~np.isnan(assets)
@@ -533,16 +523,16 @@ def write_panel_csv(panel: bs.Panel, path: Path) -> None:
 
     header, n_banks, n_runs = "bank_id,date,assets,liabilities\n", len(bank_rows), len(run_a)
     k = workers(n_runs - n_rows // _SENT_ROWS_PER_RUN, _MIN_WRITE_RUNS)
-    if k == 1:
-        _write(path, chain([header], banks(0, n_banks)))
-        return
     # block b starts at the first bank whose runs start at or after b / k of them
     cuts = [0, *np.searchsorted(edges, [n_runs * b // k for b in range(1, k)]).tolist(), n_banks]
 
     def block(first, stop):
-        return "".join(banks(first, stop))
-    parts = forked([partial(block, lo, hi) for lo, hi in zip(cuts, cuts[1:]) if lo < hi])
-    _write(path, [header, *parts])
+        return ["".join(banks(first, stop))]
+    # this process streams the first block; a child sends each other one whole
+    blocks = [partial(banks, *cuts[:2]),
+              *(partial(block, lo, hi) for lo, hi in zip(cuts[1:], cuts[2:]) if lo < hi)]
+    with closing(forked(blocks)) as parts:
+        _write(path, chain([header], chain.from_iterable(parts)))
 
 
 def write_curve_csv(curve: net.ClusterCurve, path: Path) -> None:

@@ -54,8 +54,10 @@ class ConfigError(ValueError):
     """A simulation parameter violates its constraints."""
 
 
-# the largest rate Generator.poisson takes, computed as numpy computes it
-_POISSON_LAM_MAX = float(np.iinfo("l").max - np.sqrt(np.iinfo("l").max) * 10)
+# a run may expect at most this many loan requests, arrival_rate * n_periods
+# (one period at least), each a Python iteration: minutes at the bound, and a
+# rate far below the about 9.2e18 that Generator.poisson takes
+_MAX_REQUESTS = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -100,9 +102,11 @@ class SimConfig:
             raise ConfigError(f"liquidity_share must lie in (0, 1), got {c.liquidity_share}")
         if not (np.isfinite(c.arrival_rate) and c.arrival_rate >= 0):
             raise ConfigError(f"arrival_rate must be finite and >= 0, got {c.arrival_rate}")
-        if c.arrival_rate > _POISSON_LAM_MAX:
-            raise ConfigError(f"arrival_rate must be at most numpy's Poisson limit "
-                              f"{_POISSON_LAM_MAX!r}, got {c.arrival_rate}")
+        num, den = float(c.arrival_rate).as_integer_ratio()  # exact for any period count
+        if num * max(c.n_periods, 1) > _MAX_REQUESTS * den:
+            raise ConfigError(f"a run's expected loan requests, arrival_rate * max(n_periods, 1), "
+                              f"must be at most 2**24 = {_MAX_REQUESTS}, got "
+                              f"{c.arrival_rate!r} * {max(c.n_periods, 1)}")
         if not (np.isfinite(c.loan_size) and c.loan_size > 0):
             raise ConfigError(f"loan_size must be finite and > 0, got {c.loan_size}")
         if not (np.isfinite(c.r_corporate) and np.isfinite(c.r_interbank)):

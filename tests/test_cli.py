@@ -381,17 +381,20 @@ class TestStudyCommand:
 
 
 @pytest.mark.parametrize("command", ["simulate", "study"])
-@pytest.mark.parametrize("rate, n_periods", [("1e300", "10"), ("1e19", "10"), ("1e19", "0")])
+@pytest.mark.parametrize("rate, n_periods", [("1e300", "10"), ("1e19", "10"), ("1e19", "0"),
+                                              ("1e8", "1")])
 def test_arrival_rate_over_numpys_poisson_limit_is_a_config_error(tmp_path, capsys, command,
                                                                   rate, n_periods):
-    # numpy refuses such a rate at its first Poisson draw; the config check
-    # refuses it before any period, or none at all, is run
+    # numpy refuses the first three rates at its first Poisson draw, and a run
+    # at the last takes minutes; the request bound refuses each before any
+    # period, or none at all, is run
     out = tmp_path / "out"
     target = ["--out-dir", str(out)] if command == "simulate" else ["--runs", "2", "--out", str(out)]
     assert main([command, "--seed", "1", "--n-periods", n_periods, "--arrival-rate", rate,
                  *target]) == EXIT_VALIDATION
     err = capsys.readouterr().err
-    assert "at most numpy's Poisson limit 9.22337200648477" in err
+    assert ("a run's expected loan requests, arrival_rate * max(n_periods, 1), "
+            "must be at most 2**24 = 16777216, got ") in err
     assert "computation error" not in err
     assert not out.exists()
 

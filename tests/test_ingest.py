@@ -458,6 +458,23 @@ def test_no_child_outlives_a_read(tmp_path, monkeypatch):
     assert len(forks) == before + 2
     assert_no_child_left()
 
+    # so does a middle range that is not plain, once it is taken: the last
+    # range's child is killed, not waited for
+    path = tmp_path / "middle fallback.csv"
+    path.write_bytes(PLAIN_HEAD + rows.replace(b"\nb,2005-06-30", b'\n"b",2005-06-30'))
+
+    def slow_last_child(path, start, stop, *args):
+        if os.getpid() != parent and stop == path.stat().st_size:
+            time.sleep(60)
+        return read_range(path, start, stop, *args)
+    monkeypatch.setattr(panel_io, "_read_range", slow_last_child)
+    expected = read_outcome(path, by_row=True)
+    before, started = len(forks), time.monotonic()
+    assert read_outcome(path, by_row=False) == expected
+    assert time.monotonic() - started < 30
+    assert len(forks) == before + 2
+    assert_no_child_left()
+
 
 @needs_fork
 @pytest.mark.parametrize("failure", ["raises", "exits 1", "killed", "short result",

@@ -15,7 +15,7 @@ from levnet import growth
 from levnet.cli import EXIT_COMPUTE, EXIT_OK, main, write_study_csv
 from levnet.balance_sheet import filter_complete
 from levnet.sim import (
-    _POISSON_LAM_MAX, EVENT_KINDS, ConfigError, SimConfig, _draws, bank_label, period_date, run)
+    _MAX_REQUESTS, EVENT_KINDS, ConfigError, SimConfig, _draws, bank_label, period_date, run)
 
 from conftest import bank_series
 from sim_reference import (
@@ -58,6 +58,10 @@ def states_equal(a, b):
     return all(np.array_equal(a[k], b[k]) for k in a)
 
 
+# the largest rate Generator.poisson takes, computed as numpy computes it
+POISSON_LAM_MAX = float(np.iinfo("l").max - np.sqrt(np.iinfo("l").max) * 10)
+
+
 class TestConfig:
     def test_defaults_valid(self):
         SimConfig().validate()
@@ -79,21 +83,33 @@ class TestConfig:
         dict(shock_probability=1.5),
         dict(shock_factor=-0.1),
         dict(seed=-3),
-        dict(arrival_rate=float(np.nextafter(_POISSON_LAM_MAX, np.inf))),
+        dict(arrival_rate=float(np.nextafter(POISSON_LAM_MAX, np.inf))),
         dict(arrival_rate=1e300),
     ])
     def test_rejects(self, kwargs):
         with pytest.raises(ConfigError):
             replace(SimConfig(), **kwargs).validate()
 
-    def test_arrival_rate_up_to_numpys_poisson_limit(self):
-        # numpy's POISSON_LAM_MAX, which Generator.poisson still takes
-        assert _POISSON_LAM_MAX == np.iinfo("l").max - np.sqrt(np.iinfo("l").max) * 10
-        np.random.default_rng(0).poisson(_POISSON_LAM_MAX)
-        SimConfig(arrival_rate=_POISSON_LAM_MAX).validate()
-        with pytest.raises(ConfigError, match=re.escape(
-                f"at most numpy's Poisson limit {_POISSON_LAM_MAX!r}, got 1e+19")):
-            SimConfig(arrival_rate=1e19).validate()
+    def test_arrival_rate_up_to_the_request_bound(self):
+        # numpy's Generator.poisson takes every rate the bound lets through
+        assert _MAX_REQUESTS == 2**24 < POISSON_LAM_MAX
+        np.random.default_rng(0).poisson(POISSON_LAM_MAX)
+        at_bound = float(2**24)
+        for n_periods in (0, 1):
+            SimConfig(n_periods=n_periods, arrival_rate=at_bound).validate()
+        SimConfig(n_periods=2**24, arrival_rate=1.0).validate()
+        SimConfig(n_periods=4, arrival_rate=at_bound / 4).validate()
+        over = float(np.nextafter(at_bound, np.inf))
+        for config in (SimConfig(n_periods=1, arrival_rate=over),
+                       SimConfig(n_periods=0, arrival_rate=over),
+                       SimConfig(n_periods=2**24 + 1, arrival_rate=1.0),
+                       SimConfig(n_periods=10**400, arrival_rate=5e-324)):
+            with pytest.raises(ConfigError, match=re.escape(
+                    "a run's expected loan requests, arrival_rate * max(n_periods, 1), "
+                    "must be at most 2**24 = 16777216, got ")):
+                config.validate()
+        with pytest.raises(ConfigError, match=re.escape("got 1e+19 * 1")):
+            SimConfig(n_periods=0, arrival_rate=1e19).validate()
 
 
 class TestInit:
@@ -462,7 +478,7 @@ def test_run_at_the_calibrated_size_matches_the_reference_engine(bit_generator, 
 BIT_GENERATORS = ("PCG64", "PCG64DXSM", "MT19937", "Philox", "SFC64")
 DRAWS = ("integers", "random", "choice", "poisson")
 # numpy draws Poisson counts by multiplying uniforms below 10 and by PTRS from 10 up
-POISSON_EDGES = (0.0, 5e-324, 0.4, float(np.nextafter(10.0, 0.0)), 10.0, _POISSON_LAM_MAX)
+POISSON_EDGES = (0.0, 5e-324, 0.4, float(np.nextafter(10.0, 0.0)), 10.0, POISSON_LAM_MAX)
 
 
 @st.composite
