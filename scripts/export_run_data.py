@@ -16,11 +16,10 @@ import argparse
 from dataclasses import replace
 from pathlib import Path
 
-from levnet.cli import (
-    _fmt, _rho_grid, _write, read_sim_config, write_curve_csv, write_study_csv,
-)
+from levnet.cli import _rho_grid, read_sim_config
 from levnet.growth import replication_study
 from levnet.network import cluster_curve, components, leverage_correlation, threshold_network
+from levnet.panel_io import _fmt, _write, write_curve_csv, write_study_csv
 from levnet.sim import SimConfig, run
 
 

@@ -21,19 +21,16 @@ from pathlib import Path
 from . import balance_sheet as bs
 from . import network as net
 from .growth import ReplicationStudy, replication_study
-# re-exported: callers, and the tracer that wraps the commands' calls, find them here
 from .panel_io import (
-    IngestError, IngestResult, IngestSpec, _csv_field, _fmt, _write, _write_json,
+    IngestError, IngestSpec, _csv_field, _fmt, _write, _write_json,
     ingest_panel, write_curve_csv, write_panel_csv, write_study_csv,
 )
 from .sim import EVENT_KINDS, ConfigError, SimConfig, SimOutput, run
 
 __all__ = [
     "EXIT_COMPUTE", "EXIT_IO", "EXIT_OK", "EXIT_VALIDATION",
-    "IngestError", "IngestResult", "IngestSpec",
     "cmd_curve", "cmd_ingest", "cmd_network", "cmd_simulate", "cmd_study",
-    "format_sim_config", "ingest_panel", "main", "read_sim_config",
-    "write_panel_csv",
+    "main", "read_sim_config",
 ]
 
 EXIT_OK = 0
@@ -81,16 +78,6 @@ def _parse_config_value(key: str, value: str):
         raise ConfigError(f"bad value for {key!r}: {value!r}") from exc
 
 
-def format_sim_config(config: SimConfig) -> str:
-    lines = []
-    for f in fields(SimConfig):
-        v = getattr(config, f.name)
-        if _kind(f.name) is tuple:
-            v = f"{_fmt(v[0])}, {_fmt(v[1])}"
-        lines.append(f"{f.name} = {v}")
-    return "\n".join(lines) + "\n"
-
-
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="flat key = value config file")
     for f in fields(SimConfig):
@@ -126,10 +113,19 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+# network and curve hold one n x n float64 matrix of the complete banks: at
+# most this many cells, so 8,192 banks and 512 MiB
+_MAX_MATRIX_CELLS = 1 << 26
+
+
 def _load_matrix(path: str) -> net.CorrelationMatrix:
     result = ingest_panel(IngestSpec(path))
-    if len(result.complete) < 2:
+    n = len(result.complete)
+    if n < 2:
         raise IngestError(f"{path}: need at least 2 complete banks")
+    if n * n > _MAX_MATRIX_CELLS:
+        raise IngestError(f"{path}: the correlation matrix of {n} complete banks, {n} * {n} "
+                          f"cells, is over the limit of {_MAX_MATRIX_CELLS} cells")
     return net.leverage_correlation(result.complete)
 
 

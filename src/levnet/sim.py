@@ -58,6 +58,9 @@ class ConfigError(ValueError):
 # (one period at least), each a Python iteration: minutes at the bound, and a
 # rate far below the about 9.2e18 that Generator.poisson takes
 _MAX_REQUESTS = 1 << 24
+# a run's panel may hold at most this many cells, n_banks * (n_periods + 1);
+# the forward fill alone holds four 8-byte arrays of that shape, 2 GiB at the bound
+_MAX_CELLS = 1 << 26
 
 
 @dataclass(frozen=True)
@@ -107,6 +110,9 @@ class SimConfig:
             raise ConfigError(f"a run's expected loan requests, arrival_rate * max(n_periods, 1), "
                               f"must be at most 2**24 = {_MAX_REQUESTS}, got "
                               f"{c.arrival_rate!r} * {max(c.n_periods, 1)}")
+        if c.n_banks * (c.n_periods + 1) > _MAX_CELLS:
+            raise ConfigError(f"a run's panel, n_banks * (n_periods + 1) cells, must hold at "
+                              f"most 2**26 = {_MAX_CELLS}, got {c.n_banks} * {c.n_periods + 1}")
         if not (np.isfinite(c.loan_size) and c.loan_size > 0):
             raise ConfigError(f"loan_size must be finite and > 0, got {c.loan_size}")
         if not (np.isfinite(c.r_corporate) and np.isfinite(c.r_interbank)):

@@ -19,7 +19,7 @@ from typing import Iterator, NamedTuple
 import numpy as np
 
 from levnet.balance_sheet import Panel
-from levnet.cli import _fmt, write_panel_csv
+from levnet.panel_io import _fmt, write_panel_csv
 from levnet.sim import SimConfig, _period_labels, bank_label
 
 

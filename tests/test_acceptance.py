@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 from levnet.balance_sheet import Panel, _leverage_matrix, census
-from levnet.cli import IngestSpec, ingest_panel, write_panel_csv
 from levnet.growth import replication_study
 from levnet.network import (
     LeverageNetwork,
@@ -23,6 +22,7 @@ from levnet.network import (
     threshold_network,
     top_m_network,
 )
+from levnet.panel_io import IngestSpec, ingest_panel, write_panel_csv
 from levnet.sim import SimConfig, run
 
 from conftest import random_correlation_matrix

@@ -13,19 +13,8 @@ import numpy as np
 import pytest
 
 import levnet
-from levnet.cli import (
-    EXIT_COMPUTE,
-    EXIT_IO,
-    EXIT_OK,
-    EXIT_VALIDATION,
-    IngestError,
-    IngestSpec,
-    format_sim_config,
-    ingest_panel,
-    main,
-    read_sim_config,
-    write_panel_csv,
-)
+from levnet.cli import EXIT_COMPUTE, EXIT_IO, EXIT_OK, EXIT_VALIDATION, main, read_sim_config
+from levnet.panel_io import IngestError, IngestSpec, ingest_panel, write_panel_csv
 from levnet.sim import ConfigError, SimConfig, period_date
 
 from conftest import constant_series, panel_from_members, series_from_leverage
@@ -301,6 +290,37 @@ def test_flag_error_wins_over_a_missing_input(tmp_path, capsys, command):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", [
+    ["network", "--rho", "0.5", "--out-dir", "{out}"],
+    ["curve", "--out", "{out}/c.csv"],
+], ids=["network", "curve"])
+def test_a_matrix_over_the_cell_bound_is_refused_before_it_is_built(tmp_path, capsys,
+                                                                    monkeypatch, command):
+    # three complete banks make a 3 x 3 matrix: at a bound of 9 cells it is
+    # built, and at 8 the command exits 2 before the correlation runs
+    rows = ["bank_id,date,assets,liabilities"]
+    for b, liabilities in (("a", 100.0), ("b", 90.0), ("c", 80.0)):
+        rows += [f"{b},200{t}-01-01,{150.0 + 10 * t * t},{liabilities}" for t in range(4)]
+    src = write(tmp_path, "p.csv", "\n".join(rows) + "\n")
+
+    def run(out):
+        argv = [arg.format(out=out) for arg in command]
+        return main(argv[:1] + ["--input", str(src)] + argv[1:])
+
+    monkeypatch.setattr("levnet.cli._MAX_MATRIX_CELLS", 9)
+    assert run(tmp_path / "built") == EXIT_OK
+    capsys.readouterr()
+    monkeypatch.setattr("levnet.cli._MAX_MATRIX_CELLS", 8)
+    monkeypatch.setattr("levnet.network.leverage_correlation",
+                        lambda panel: pytest.fail("the matrix was built"))
+    out = tmp_path / "refused"
+    assert run(out) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err == (f"error: {src}: the correlation matrix of 3 complete banks, 3 * 3 cells, "
+                   f"is over the limit of 8 cells\n")
+    assert not out.exists()
+
+
 SIM_ARGS = ["--n-banks", "10", "--n-periods", "40", "--seed", "5"]
 
 
@@ -438,7 +458,13 @@ class TestConfigFile:
                         shock_probability=0.5, shock_factor=0.125, seed=4)
         default = SimConfig()
         assert all(getattr(cfg, f.name) != getattr(default, f.name) for f in fields(SimConfig))
-        path = write(tmp_path, "c.cfg", format_sim_config(cfg))
+        # one "key = value" line a field, a range written as "low, high"
+        lines = []
+        for f in fields(SimConfig):
+            value = getattr(cfg, f.name)
+            text = ", ".join(map(repr, value)) if isinstance(value, tuple) else repr(value)
+            lines.append(f"{f.name} = {text}\n")
+        path = write(tmp_path, "c.cfg", "".join(lines))
         read = read_sim_config(path)
         assert read == cfg
         # an int read as a float compares equal: the types must match too

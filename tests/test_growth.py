@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from levnet import _forked, growth
-from levnet.cli import EXIT_COMPUTE, EXIT_OK, main, write_study_csv
+from levnet.cli import EXIT_COMPUTE, EXIT_OK, main
 from levnet.growth import (
     NoDefinedPairsError,
     ReplicationStudy,
@@ -25,6 +25,7 @@ from levnet.growth import (
     replication_study,
 )
 from levnet.network import CorrelationMatrix
+from levnet.panel_io import write_study_csv
 from levnet.sim import SimConfig
 
 from conftest import (

@@ -19,7 +19,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from levnet import panel_io
 from levnet._forked import workers
-from levnet.cli import EXIT_OK, IngestError, IngestSpec, ingest_panel, main
+from levnet.cli import EXIT_OK, main
+from levnet.panel_io import IngestError, IngestSpec, ingest_panel
 
 from conftest import assert_no_child_left, bank_series, count_forks, needs_fork
 

@@ -18,9 +18,10 @@ from hypothesis import example, given, settings, strategies as st
 
 from levnet import panel_io
 from levnet.balance_sheet import Panel
-from levnet.cli import EXIT_OK, _csv_field, main, write_curve_csv, write_panel_csv, write_study_csv
+from levnet.cli import EXIT_OK, main
 from levnet.growth import replication_study
 from levnet.network import ClusterCurve
+from levnet.panel_io import _csv_field, write_curve_csv, write_panel_csv, write_study_csv
 from levnet.sim import SimConfig, period_date
 
 from conftest import assert_no_child_left, count_forks, needs_fork

@@ -12,10 +12,12 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from levnet import growth
-from levnet.cli import EXIT_COMPUTE, EXIT_OK, main, write_study_csv
+from levnet.cli import EXIT_COMPUTE, EXIT_OK, main
 from levnet.balance_sheet import filter_complete
+from levnet.panel_io import write_study_csv
 from levnet.sim import (
-    _MAX_REQUESTS, EVENT_KINDS, ConfigError, SimConfig, _draws, bank_label, period_date, run)
+    _MAX_CELLS, _MAX_REQUESTS, EVENT_KINDS, ConfigError, SimConfig, _draws, bank_label,
+    period_date, run)
 
 from conftest import bank_series
 from sim_reference import (
@@ -97,7 +99,7 @@ class TestConfig:
         at_bound = float(2**24)
         for n_periods in (0, 1):
             SimConfig(n_periods=n_periods, arrival_rate=at_bound).validate()
-        SimConfig(n_periods=2**24, arrival_rate=1.0).validate()
+        SimConfig(n_banks=3, n_periods=2**24, arrival_rate=1.0).validate()
         SimConfig(n_periods=4, arrival_rate=at_bound / 4).validate()
         over = float(np.nextafter(at_bound, np.inf))
         for config in (SimConfig(n_periods=1, arrival_rate=over),
@@ -110,6 +112,18 @@ class TestConfig:
                 config.validate()
         with pytest.raises(ConfigError, match=re.escape("got 1e+19 * 1")):
             SimConfig(n_periods=0, arrival_rate=1e19).validate()
+
+    def test_panel_cells_up_to_the_cell_bound(self):
+        # 64 banks x 2**20 dates is 2**26 cells; the request bound is checked
+        # first, so its cases above keep their message though they are over this one
+        assert _MAX_CELLS == 2**26
+        SimConfig(n_banks=64, n_periods=2**20 - 1).validate()
+        message = re.escape("a run's panel, n_banks * (n_periods + 1) cells, must hold at "
+                            "most 2**26 = 67108864, got ")
+        with pytest.raises(ConfigError, match=message + re.escape("64 * 1048577")):
+            SimConfig(n_banks=64, n_periods=2**20).validate()
+        with pytest.raises(ConfigError, match=message + re.escape(f"80 * {10**30 + 1}")):
+            SimConfig(n_periods=10**30, arrival_rate=0.0).validate()
 
 
 class TestInit:
