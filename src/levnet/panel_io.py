@@ -137,7 +137,7 @@ def _csv_field(text: str) -> str:
 
 # a plain file is read this many bytes at a time: larger blocks read no
 # faster and raise the peak resident set of the commands that ingest
-_BLOCK_BYTES = 1 << 14
+_BLOCK_BYTES = 1 << 19
 
 # a plain file is split into line-aligned byte ranges, one per allowed CPU,
 # each of at least this size, so a second range starts at twice this size.
@@ -155,31 +155,43 @@ _MAX_CELLS_PER_ROW = 64
 
 
 class _Columns:
-    """Bank and date codes and float values of the rows read so far; each
-    distinct date string is parsed once, in the order codes are given, and
-    kept as its day's ordinal, which a child sends back far faster than a
-    date object."""
+    """Bank and date codes and float values of the rows read so far, each
+    column a list of arrays, one per block the block reader adds (its codes
+    are int32) or one from the row loop; each distinct date string is
+    parsed once, in the order codes are given, and kept as its day's
+    ordinal, which a child sends back far faster than a date object."""
 
     def __init__(self):
         self.bank_code: dict[str, int] = {}
         self.date_code: dict[str, int] = {}
         self.days: list[int] = []
-        self.banks, self.dates = array("q"), array("q")
-        self.assets, self.liabilities = array("d"), array("d")
+        self.banks: list[np.ndarray] = []
+        self.dates: list[np.ndarray] = []
+        self.assets: list[np.ndarray] = []
+        self.liabilities: list[np.ndarray] = []
 
     def extend(self, other: _Columns) -> None:
         """Append ``other``'s rows, its codes renumbered into this one's."""
-        bank = np.empty(len(other.bank_code), np.int64)
-        for key, code in other.bank_code.items():
-            bank[code] = self.bank_code.setdefault(key, len(self.bank_code))
-        date = np.empty(len(other.date_code), np.int64)
-        for key, code in other.date_code.items():
-            if key not in self.date_code:
-                self.date_code[key] = len(self.days)
-                self.days.append(other.days[code])
-            date[code] = self.date_code[key]
-        self.banks.frombytes(bank.take(np.frombuffer(other.banks, np.int64)).tobytes())
-        self.dates.frombytes(date.take(np.frombuffer(other.dates, np.int64)).tobytes())
+        # codes count up from 0 in the order of a dict's keys, so the keys
+        # new to this one are numbered on from its count
+        banks = [key for key in other.bank_code if key not in self.bank_code]
+        first = len(self.bank_code)
+        self.bank_code.update(zip(banks, range(first, first + len(banks))))
+        days = [key for key in other.date_code if key not in self.date_code]
+        first = len(self.days)
+        self.date_code.update(zip(days, range(first, first + len(days))))
+        self.days += map(other.days.__getitem__, map(other.date_code.__getitem__, days))
+        bank = np.fromiter(map(self.bank_code.__getitem__, other.bank_code), np.int32,
+                           len(other.bank_code))
+        date = np.fromiter(map(self.date_code.__getitem__, other.date_code), np.int32,
+                           len(other.date_code))
+        # renumbered in place, so that no part is copied to stay
+        for part in other.banks:
+            part[:] = bank[part]
+        for part in other.dates:
+            part[:] = date[part]
+        self.banks += other.banks
+        self.dates += other.dates
         self.assets += other.assets
         self.liabilities += other.liabilities
 
@@ -195,7 +207,7 @@ def _read_rows(reader, path: Path, picks, cols: _Columns) -> None:
     file the block reader does not and is the only source of row errors."""
     b_col, d_col, a_col, l_col = picks
     bank_code, date_code, days = cols.bank_code, cols.date_code, cols.days
-    banks, dates, assets, liabilities = cols.banks, cols.dates, cols.assets, cols.liabilities
+    banks, dates, assets, liabilities = array("q"), array("q"), array("d"), array("d")
     for row in reader:
         if not row:
             continue
@@ -214,6 +226,11 @@ def _read_rows(reader, path: Path, picks, cols: _Columns) -> None:
         dates.append(date_code[day])
         assets.append(a_val)
         liabilities.append(l_val)
+    if banks:
+        cols.banks.append(np.frombuffer(banks, np.int64))
+        cols.dates.append(np.frombuffer(dates, np.int64))
+        cols.assets.append(np.frombuffer(assets))
+        cols.liabilities.append(np.frombuffer(liabilities))
 
 
 def _read_csv(spec: IngestSpec, path: Path) -> _Columns:
@@ -239,84 +256,230 @@ def _read_csv(spec: IngestSpec, path: Path) -> _Columns:
     return cols
 
 
-def _codes(code: dict[str, int], raw: list[str]) -> tuple[list[int], dict[str, int]]:
-    """The code of each of ``raw``'s keys, and the keys that have none yet,
-    numbered on from ``len(code)`` in order of appearance. ``code`` is left
-    as it is. Its keys are stripped, so a row that hits takes one lookup; only
-    a block with a miss strips, a distinct spelling at a time."""
+def _codes(code: dict[str, int], spellings: list[bytes]) -> tuple[list[int], dict[str, int]]:
+    """The code of each of ``spellings``' keys, and the keys that have none
+    yet, numbered on from ``len(code)``; ``code`` is left as it is. Its keys
+    are stripped ``str``, as the row loop strips them: ``str.strip`` also
+    removes U+001C-U+001F, U+0085 and U+00A0, which ``bytes.strip`` keeps.
+    A spelling that hits takes one decode and one lookup; only a miss is
+    stripped."""
+    raw = list(map(bytes.decode, spellings))
     codes = list(map(code.get, raw, repeat(-1)))
-    if -1 not in codes:
-        return codes, {}
     new: dict[str, int] = {}
-    found = {}
-    for spelling in dict.fromkeys(compress(raw, map((-1).__eq__, codes))):
-        key = spelling.strip()
-        found[spelling] = code[key] if key in code else new.setdefault(key, len(code) + len(new))
-    return list(map(found.get, raw, codes)), new
+    for k in compress(range(len(raw)), map((-1).__eq__, codes)):
+        key = raw[k].strip()
+        codes[k] = code[key] if key in code else new.setdefault(key, len(code) + len(new))
+    return codes, new
 
 
-def _floats(strings: list[str]) -> array:
+def _floats(strings: list) -> array:
     """``array("d", map(float, strings))``, with ``float`` called once per
-    distinct string. Equal strings convert to equal bits, so -0.0 and NaN
-    keep theirs; a bad string raises ValueError either way."""
+    distinct string where that at least halves the calls. Equal strings
+    convert to equal bits, so -0.0 and NaN keep theirs; a bad string raises
+    ValueError either way."""
     distinct = set(strings)
-    if len(distinct) == len(strings):
+    if 2 * len(distinct) > len(strings):
         return array("d", map(float, strings))
     value = dict(zip(distinct, map(float, distinct)))
     return array("d", map(value.__getitem__, strings))
 
 
-def _read_plain(text: str, width: int, picks, cols: _Columns) -> bool:
-    """Add the rows of ``text``, whole lines of the file, to ``cols`` a column
-    at a time, with the work done once per distinct string of a column.
-    Returns False and leaves ``cols`` as it was unless the csv row loop would
-    read every line the same way and without an error: no quote, NUL or CR,
+# _MASKS[r] keeps the first r bytes of a little-endian 8-byte word
+_MASKS = np.array([(1 << 8 * r) - 1 for r in range(9)], "<u8")
+
+
+def _one_word(words: np.ndarray, lo: np.ndarray, size: np.ndarray):
+    """Each field's key as one word, and the bytes every field holds before
+    that word; None unless one word keys every field: each field has at most
+    8 bytes, or all have one length of at most 16 and the same leading bytes,
+    as ISO dates of one century do. ``words[i]`` is the 8 bytes from byte i,
+    little-endian, and no field holds a NUL, so a masked word is exact. A key
+    is the word byte-swapped, so that keys sort as their bytes do, and the
+    keys of a column the file is sorted by come in ascending runs."""
+    top = int(size.max())
+    if top <= 8:
+        return (words[lo] & _MASKS[size]).byteswap(inplace=True), b""
+    if top <= 16 and size.min() == top:
+        lead = words[lo] & _MASKS[top - 8]
+        if (lead == lead[0]).all():
+            return words[lo + (top - 8)].byteswap(inplace=True), lead[:1].tobytes()[:top - 8]
+    return None
+
+
+def _sorted(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct keys in order, and the index of each key among them.
+    Where at most half the keys start a run of equal consecutive keys, as
+    in a column the file is sorted by, only the runs' keys are sorted. The
+    sort is numpy's stable one, which takes ascending runs whole."""
+    change = np.empty(len(keys), bool)
+    change[0] = True
+    np.not_equal(keys[1:], keys[:-1], out=change[1:])
+    if 2 * np.count_nonzero(change) <= len(keys):
+        distinct, index = _sorted(keys[change])
+        return distinct, index[change.cumsum() - 1]
+    order = keys.argsort(kind="stable")
+    ordered = keys[order]
+    first = np.empty(len(keys), bool)
+    first[0] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    index = np.empty(len(keys), np.intp)
+    index[order] = first.cumsum() - 1
+    return ordered[first], index
+
+
+def _spellings(keys: np.ndarray, head: bytes) -> list[bytes]:
+    """The fields that ``_one_word``'s keys and ``head`` spell."""
+    tails = keys.byteswap().view("S8").tolist()  # the masked zero bytes drop off
+    return list(map(head.__add__, tails)) if head else tails
+
+
+def _runs(words: np.ndarray, lo: np.ndarray, size: np.ndarray) -> tuple[list[bytes], np.ndarray]:
+    """The spelling of each run of equal consecutive fields, and the index
+    of each field's run."""
+    change = np.empty(len(lo), bool)
+    change[0] = True
+    change[1:] = False
+    parts = []
+    for w in range(-(-int(size.max()) // 8)):
+        # a word past a short field's end is masked to zero whatever it reads
+        at = lo + 8 * w
+        word = words[at if at[-1] < len(words) else np.minimum(at, len(words) - 1)]
+        if 8 * (w + 1) > size.min():
+            word &= _MASKS[np.clip(size - 8 * w, 0, 8)]
+        change[1:] |= word[1:] != word[:-1]
+        parts.append(word)
+    keys = np.stack([word[change] for word in parts], axis=1)
+    return keys.view(f"S{8 * len(parts)}").ravel().tolist(), change.cumsum() - 1
+
+
+def _float_column(words: np.ndarray, lo: np.ndarray, size: np.ndarray) -> np.ndarray:
+    """The fields' values, ``float`` called once per distinct spelling; a
+    spelling ``float(str)`` would take but ``float(bytes)`` refuses, one not
+    ASCII, raises ValueError, and the row loop then reads the file."""
+    one = _one_word(words, lo, size)
+    if one is None:
+        spellings, index = _runs(words, lo, size)
+    else:
+        distinct, index = _sorted(one[0])
+        spellings = _spellings(distinct, one[1])
+    return np.frombuffer(_floats(spellings))[index]
+
+
+def _lookup(known: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Where each of ``keys`` sits in the sorted ``known``, and whether it is
+    there."""
+    at = known.searchsorted(keys)
+    hit = np.zeros(len(keys), bool)
+    inside = at < len(known)
+    hit[inside] = known[at[inside]] == keys[inside]
+    return at, hit
+
+
+def _code_column(code: dict[str, int], seen: dict, column: int, words: np.ndarray,
+                 lo: np.ndarray, size: np.ndarray):
+    """The fields' codes in ``code``, the keys new to it, and the entry of
+    ``seen`` to store once the block is read. ``seen`` holds, for each column
+    and each kind of one-word key, the sorted keys met before and their
+    codes, so a block converts only spellings not met before."""
+    one = _one_word(words, lo, size)
+    if one is None:
+        spellings, index = _runs(words, lo, size)
+        codes, new = _codes(code, spellings)
+        return np.array(codes, np.int32)[index], new, {}
+    keys, head = one
+    known, known_codes = seen.get((column, head), (keys[:0], np.empty(0, np.int32)))
+    at, hit = _lookup(known, keys)
+    if hit.all():
+        return known_codes[at], {}, {}
+    distinct, index = _sorted(keys)
+    at, hit = _lookup(known, distinct)
+    codes = np.empty(len(distinct), np.int32)
+    codes[hit] = known_codes[at[hit]]
+    missed, new = _codes(code, _spellings(distinct[~hit], head))
+    codes[~hit] = missed
+    known = np.insert(known, at[~hit], distinct[~hit])
+    known_codes = np.insert(known_codes, at[~hit], missed)
+    return codes[index], new, {(column, head): (known, known_codes)}
+
+
+def _read_plain(block: bytes, width: int, picks, cols: _Columns, seen: dict | None = None) -> bool:
+    """Add the rows of ``block``, whole lines of the file, to ``cols`` a
+    column at a time, with the work done once per distinct spelling of a
+    column. Returns False and leaves ``cols`` and ``seen`` (see
+    ``_code_column``) as they were unless the csv row loop would read every
+    line the same way and without an error: UTF-8 with no quote, NUL or CR,
     the header's field count on every non-blank line, no line over the csv
     field size limit, no empty bank id, and every date and value converts."""
     # csv unquotes, ends lines at a CR too and, before Python 3.11, rejects NUL
-    if '"' in text or "\0" in text or "\r" in text:
+    if b'"' in block or b"\0" in block or b"\r" in block:
         return False
-    lines = text.split("\n")
-    limit = csv.field_size_limit()
-    if len(text) > limit and max(map(len, lines)) > limit:
-        return False
-    lines = list(filter(None, lines))  # a blank line is no row
-    if not lines:
+    if not block:
         return True
-    # each line but the last ends in a field holding its one newline, so the
-    # lines all have ``width`` fields exactly when the newlines all sit in the
-    # last column and the field count is right
-    fields = "\n,".join(lines).split(",")
-    if (len(fields) != len(lines) * width
-            or "".join(fields[width - 1::width]).count("\n") != len(lines) - 1):
+    if not block.isascii():
+        try:
+            block.decode("utf-8")
+        except UnicodeDecodeError:
+            return False
+    # zero bytes after the end, so that every byte starts a whole word
+    padded = block + bytes(8)
+    chars = np.frombuffer(padded, np.uint8, len(block))
+    words = np.ndarray((len(block) + 1,), "<u8", padded, 0, (1,))
+    ends = np.flatnonzero(chars == 10)
+    if not block.endswith(b"\n"):
+        ends = np.append(ends, len(block))
+    starts = np.r_[0, ends[:-1] + 1]
+    lines = ends > starts  # a blank line is no row
+    if not lines.all():
+        starts, ends = starts[lines], ends[lines]
+    n = len(starts)
+    if not n:
+        return True
+    # a line has at least as many bytes as characters
+    limit = csv.field_size_limit()
+    if len(block) > limit and (ends - starts).max() > limit:
         return False
+    # with as many commas as the lines need, the lines all have ``width``
+    # fields exactly when each line's share of the sorted commas lies in it
+    commas = np.flatnonzero(chars == 44)
+    if len(commas) != (width - 1) * n:
+        return False
+    grid = commas.reshape(n, width - 1)
+    if (grid[:, 0] < starts).any() or (grid[:, -1] >= ends).any():
+        return False
+
+    def field(j):
+        lo = starts if j == 0 else grid[:, j - 1] + 1
+        return lo, (grid[:, j] if j < width - 1 else ends) - lo
+    seen = {} if seen is None else seen
     b_col, d_col, a_col, l_col = picks
-    banks, new_banks = _codes(cols.bank_code, fields[b_col::width])
-    dates, new_days = _codes(cols.date_code, fields[d_col::width])
+    banks, new_banks, bank_keys = _code_column(cols.bank_code, seen, 0, words, *field(b_col))
     if "" in new_banks:
         return False
+    dates, new_days, date_keys = _code_column(cols.date_code, seen, 1, words, *field(d_col))
     try:
         parsed = [datetime.date.fromisoformat(day).toordinal() for day in new_days]
-        assets = _floats(fields[a_col::width])
-        liabilities = _floats(fields[l_col::width])
+        assets = _float_column(words, *field(a_col))
+        liabilities = _float_column(words, *field(l_col))
     except ValueError:
         return False
+    seen.update(bank_keys)
+    seen.update(date_keys)
     cols.bank_code.update(new_banks)
     cols.date_code.update(new_days)
     cols.days += parsed
-    cols.banks += array("q", banks)
-    cols.dates += array("q", dates)
-    cols.assets += assets
-    cols.liabilities += liabilities
+    cols.banks.append(banks)
+    cols.dates.append(dates)
+    cols.assets.append(assets)
+    cols.liabilities.append(liabilities)
     return True
 
 
 def _read_range(path: Path, start: int, stop: int, width: int, picks) -> _Columns | None:
     """The rows in bytes ``[start, stop)`` of the file, both line boundaries,
     converted a block of whole lines at a time; None at the first block that
-    is not plain UTF-8. No newline byte is part of a multibyte character, so
-    the blocks, cut after one, decode as the whole file does."""
-    cols = _Columns()
+    is not plain. No newline byte is part of a multibyte character, so the
+    blocks, cut after one, decode as the whole file does."""
+    cols, seen = _Columns(), {}
     with open(path, "rb") as fh:
         fh.seek(start)
         carry, left = b"", stop - start
@@ -325,11 +488,7 @@ def _read_range(path: Path, start: int, stop: int, width: int, picks) -> _Column
             left -= len(chunk)
             data = carry + chunk
             cut = data.rfind(b"\n") + 1 if chunk else len(data)
-            try:
-                text = data[:cut].decode("utf-8")
-            except UnicodeDecodeError:
-                return None
-            if not _read_plain(text, width, picks, cols):
+            if not _read_plain(data[:cut], width, picks, cols, seen):
                 return None
             if not chunk:
                 return cols
@@ -361,8 +520,11 @@ def _read_plain_file(spec: IngestSpec, path: Path) -> _Columns | None:
         # one leading byte-order mark is no part of the header, as for utf-8-sig
         line = fh.readline().removeprefix(codecs.BOM_UTF8)
         start, size = fh.tell(), os.fstat(fh.fileno()).st_size
-        # a header the csv reader might split otherwise is left to it
-        if (not line.rstrip(b"\n") or len(line) > csv.field_size_limit()
+        # a header the csv reader might split otherwise is left to it; so is
+        # a file of 8 GiB or more, since only a smaller one, whose rows take
+        # at least 4 bytes (three commas and a newline), has fewer than 2^31
+        # rows and so fewer bank or date codes than the block reader's int32
+        if (not line.rstrip(b"\n") or len(line) > csv.field_size_limit() or size >= 1 << 33
                 or any(c in line for c in (b'"', b"\r", b"\0"))):
             return None
         try:
@@ -401,20 +563,26 @@ def _read_columns(spec: IngestSpec, path: Path):
     ids = sorted(cols.bank_code)
     column = {bank: k for k, bank in enumerate(ids)}
     shape = (len(days), len(ids))
-    n_cells, n_rows = shape[0] * shape[1], len(cols.banks)
+    n_cells, n_rows = shape[0] * shape[1], sum(map(len, cols.banks))
     if n_cells > max(_MAX_CELLS, _MAX_CELLS_PER_ROW * n_rows):
         raise IngestError(
             f"{path}: {shape[0]} dates x {shape[1]} banks from {n_rows} rows: "
             f"a dense panel of {n_cells} cells is over the limit of {_MAX_CELLS} cells "
             f"and {_MAX_CELLS_PER_ROW} cells per row")
-    cell = np.ravel_multi_index(
-        (np.array([rank[day] for day in cols.days])[np.frombuffer(cols.dates, np.int64)],
-         np.array([column[bank] for bank in cols.bank_code])[np.frombuffer(cols.banks, np.int64)]),
-        shape)
-    count = np.bincount(cell, minlength=n_cells).reshape(shape)
+    date_row = np.array([rank[day] for day in cols.days])
+    bank_column = np.array([column[bank] for bank in cols.bank_code])
+    # a part at a time, so that no column is copied whole
+    cell = np.empty(n_rows, np.int64)
     a_mat, l_mat = np.full(shape, np.nan), np.full(shape, np.nan)
-    a_mat.reshape(-1)[cell] = np.frombuffer(cols.assets)
-    l_mat.reshape(-1)[cell] = np.frombuffer(cols.liabilities)
+    at = 0
+    for banks, dates, assets, liabilities in zip(cols.banks, cols.dates, cols.assets,
+                                                 cols.liabilities):
+        part = cell[at:at + len(banks)]
+        np.add(date_row[dates] * shape[1], bank_column[banks], out=part)
+        a_mat.reshape(-1)[part] = assets
+        l_mat.reshape(-1)[part] = liabilities
+        at += len(banks)
+    count = np.bincount(cell, minlength=n_cells).reshape(shape)
     labels = tuple(datetime.date.fromordinal(day).isoformat() for day in days)
     return ids, labels, count, a_mat, l_mat
 

@@ -307,14 +307,14 @@ def test_floats_match_a_float_per_string(strings):
 def test_block_that_is_not_plain_leaves_the_columns_as_they_were():
     cols = panel_io._Columns()
     picks = (0, 1, 2, 3)
-    assert panel_io._read_plain("a,2005-03-31,2,1\nb,2005-03-31,3,1\n", 4, picks, cols)
+    assert panel_io._read_plain(b"a,2005-03-31,2,1\nb,2005-03-31,3,1\n", 4, picks, cols)
 
     def state():
         return (dict(cols.bank_code), dict(cols.date_code), list(cols.days),
-                *(arr.tobytes() for arr in (cols.banks, cols.dates, cols.assets,
-                                             cols.liabilities)))
+                *(b"".join(map(bytes, parts)) for parts in (cols.banks, cols.dates,
+                                                             cols.assets, cols.liabilities)))
     before = state()
-    assert not panel_io._read_plain("c,2005-06-30,2,1\na,2005-06-30,x,1\n", 4, picks, cols)
+    assert not panel_io._read_plain(b"c,2005-06-30,2,1\na,2005-06-30,x,1\n", 4, picks, cols)
     assert state() == before
 
 
