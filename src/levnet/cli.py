@@ -117,6 +117,10 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 # most this many cells, so 8,192 banks and 512 MiB
 _MAX_MATRIX_CELLS = 1 << 26
 
+# network builds and writes one Python tuple per edge, each far larger than
+# a matrix cell: at most this many, counted before any is built
+_MAX_EDGES = 1 << 22
+
 
 def _load_matrix(path: str) -> net.CorrelationMatrix:
     result = ingest_panel(IngestSpec(path))
@@ -139,9 +143,9 @@ def cmd_network(args: argparse.Namespace) -> int:
         net._check_avg_degree(args.avg_degree)
     matrix = _load_matrix(args.input)
     if args.avg_degree is not None:
-        network = net.top_m_network(matrix, avg_degree=args.avg_degree)
+        network = net.top_m_network(matrix, avg_degree=args.avg_degree, max_edges=_MAX_EDGES)
     else:
-        network = net.threshold_network(matrix, args.rho, args.mode)
+        network = net.threshold_network(matrix, args.rho, args.mode, max_edges=_MAX_EDGES)
     part = net.components(network)
 
     out = Path(args.out_dir)
@@ -308,7 +312,8 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, IngestError, bs.DomainError, bs.DegenerateEquityError) as exc:
+    except (ConfigError, IngestError, net.EdgeLimitError, bs.DomainError,
+            bs.DegenerateEquityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except OSError as exc:

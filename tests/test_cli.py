@@ -321,6 +321,38 @@ def test_a_matrix_over_the_cell_bound_is_refused_before_it_is_built(tmp_path, ca
     assert not out.exists()
 
 
+
+@pytest.mark.parametrize("flags", [["--rho", "-1"], ["--rho", "0", "--mode", "absolute"],
+                                   ["--avg-degree", "2"]],
+                         ids=["rho -1", "absolute", "avg-degree"])
+def test_an_edge_list_over_the_edge_bound_is_refused_before_it_is_built(tmp_path, capsys,
+                                                                       monkeypatch, flags):
+    # three complete banks have three pairs, which each network keeps: at a
+    # bound of 3 edges they are written, and at 2 the command exits 2 before
+    # any edge is built
+    rows = ["bank_id,date,assets,liabilities"]
+    for b, liabilities in (("a", 100.0), ("b", 90.0), ("c", 80.0)):
+        rows += [f"{b},200{t}-01-01,{150.0 + 10 * t * t},{liabilities}" for t in range(4)]
+    src = write(tmp_path, "p.csv", "\n".join(rows) + "\n")
+
+    def run(out):
+        return main(["network", "--input", str(src), *flags, "--out-dir", str(out)])
+
+    monkeypatch.setattr("levnet.cli._MAX_EDGES", 3)
+    assert run(tmp_path / "built") == EXIT_OK
+    assert len((tmp_path / "built" / "edges.csv").read_text().splitlines()) == 1 + 3
+    capsys.readouterr()
+    monkeypatch.setattr("levnet.cli._MAX_EDGES", 2)
+    monkeypatch.setattr("levnet.network.LeverageNetwork",
+                        lambda *args: pytest.fail("the edge list was built"))
+    out = tmp_path / "refused"
+    assert run(out) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith("error: 3 pairs clear the threshold ")
+    assert err.endswith(": the edge list is over the limit of 2 edges\n")
+    assert not out.exists()
+
+
 SIM_ARGS = ["--n-banks", "10", "--n-periods", "40", "--seed", "5"]
 
 

@@ -12,6 +12,7 @@ import pickle
 import signal
 import threading
 import time
+import types
 from array import array
 
 import pytest
@@ -155,9 +156,19 @@ def test_literal_non_finite_is_never_a_missing_observation(tmp_path, spelling):
 
 # pieces of a panel file: plain ones, and the hostile ones edits put in
 HEADERS = ("bank_id,date,assets,liabilities", "date,extra,liabilities,bank_id,assets")
-FIELDS = {"bank_id": ("a", "b", "B00", " a", "b ", "é"),
-          "date": ("2005-03-31", "2005-06-30", " 2005-09-30", "2005-12-31 ", "20050331")}
-VALUES = ("1.5", "120.0", "3e2", "2", "0", "-1", "nan", "-Infinity", "1_0", "١٢", " 7 ")
+# the block reader keys a field by its 8-byte words: fields of 8, 9 and 16
+# bytes sit at word edges, ids of one length key by their last word only
+# while their leading bytes agree, and dates do until a century turns;
+# str.strip, which the row loop uses, removes U+001C, U+0085 and U+00A0 too
+FIELDS = {"bank_id": ("a", "b", "B00", " a", "b ", "é", "bank0008", "bank00009",
+                      "bank000000000016", "RSSD100001", "RSSD200002", "QSSD100001", "\x1ca",
+                      "b\x85", "\xa0a"),
+          "date": ("2005-03-31", "2005-06-30", " 2005-09-30", "2005-12-31 ", "20050331",
+                   "1999-12-31", "2000-03-31", "\x1c2005-03-31", "2005-06-30\x85",
+                   "\xa02005-12-31")}
+VALUES = ("1.5", "120.0", "3e2", "2", "0", "-1", "nan", "-Infinity", "1_0", "١٢", " 7 ",
+          "12345.67", "12345.678", "1234567.89012345", "2." + "0" * 70, "\x1c7", "7\x85",
+          "\xa07")
 ODD_HEADERS = ('"bank_id",date,assets,liabilities', "bank_id,date,assets", "")
 LONG = "0." + "0" * 46 + "1"  # over a field size limit of 48, which plain lines are under
 ODD_FIELDS = {"bank_id": ("", "  ", '"Banco, SA"', '"q"', 'x"y', "n\0"),
@@ -275,6 +286,21 @@ def in_ranges(mp, k):
          block=1 << 16, limit=None, ranges=2)
 @example(data=codecs.BOM_UTF8 + PLAIN_HEAD, block=8, limit=None, ranges=2)
 @example(data=codecs.BOM_UTF8 * 2 + PLAIN_HEAD, block=8, limit=None, ranges=1)
+# a line's share of the commas lies in the next line, though their count is
+# right; a bank id spanning the newline would convert
+@example(data=PLAIN_HEAD + b"x\ny,2005-06-30,2,1,2005-06-30,3,1\n", block=1 << 16, limit=None,
+         ranges=1)
+# ids of one length and dates of one length in one block, whose last 8 bytes
+# agree while their leading bytes differ
+@example(data=b"bank_id,date,assets,liabilities\nRSSD100001,1905-03-31,2,1\n"
+         b"QSSD100001,2005-03-31,3,1\nRSSD100001,2005-03-31,2,1\n", block=1 << 16, limit=None,
+         ranges=1)
+# a word key cannot tell a trailing NUL from the end of a field
+@example(data=PLAIN_HEAD + b"n\x00,2005-06-30,2,1\nn,2005-06-30,3,1\n", block=1 << 16,
+         limit=None, ranges=1)
+# a second block meets known spellings, new ones, and known ones padded
+@example(data=PLAIN_HEAD + b"a,2005-06-30,2,1\nc,2005-03-31,4,1\n\xc2\xa0b,2005-03-31\xc2\x85,3,1\n"
+         b"\x1ca,\x1c2005-06-30,5,1\n", block=24, limit=None, ranges=1)
 @given(data=hostile_files(), block=st.sampled_from([1, 2, 3, 5, 8, 13, 64, 1 << 16]),
        limit=st.sampled_from([None, 48]), ranges=st.sampled_from([1, 1, 2, 3]))
 def test_block_reader_matches_the_row_loop(tmp_path_factory, data, block, limit, ranges):
@@ -293,6 +319,9 @@ def test_block_reader_matches_the_row_loop(tmp_path_factory, data, block, limit,
         csv.field_size_limit(default_limit)
 
 
+# one repeat among distinct strings: converted one by one, not through a dict
+@example(["1.5", "120.0", "3e2", "2", "0", "-1", "1.5"])
+@example([b"1.5", b"120.0", b"3e2", b"\xd9\xa1", b"1.5"])
 @given(st.lists(st.sampled_from(VALUES + ODD_VALUES + ("2.0", "-0.0", "0.0", "-nan")),
                 max_size=40))
 def test_floats_match_a_float_per_string(strings):
@@ -316,6 +345,17 @@ def test_block_that_is_not_plain_leaves_the_columns_as_they_were():
     before = state()
     assert not panel_io._read_plain(b"c,2005-06-30,2,1\na,2005-06-30,x,1\n", 4, picks, cols)
     assert state() == before
+
+
+def test_a_file_of_8_gib_is_left_to_the_row_loop(tmp_path, monkeypatch):
+    """The block reader's codes are int32: a file under 8 GiB has fewer than
+    2^31 rows, each of at least 4 bytes, so no code can pass them."""
+    path = tmp_path / "p.csv"
+    path.write_bytes(PLAIN_HEAD)
+    spec = IngestSpec(str(path))
+    assert panel_io._read_plain_file(spec, path).bank_code == {"a": 0, "b": 1}
+    monkeypatch.setattr(os, "fstat", lambda fd: types.SimpleNamespace(st_size=1 << 33))
+    assert panel_io._read_plain_file(spec, path) is None
 
 
 @pytest.mark.parametrize("by_row", [False, True], ids=["block reader", "row loop"])
