@@ -117,10 +117,6 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 # most this many cells, so 8,192 banks and 512 MiB
 _MAX_MATRIX_CELLS = 1 << 26
 
-# network builds and writes one Python tuple per edge, each far larger than
-# a matrix cell: at most this many, counted before any is built
-_MAX_EDGES = 1 << 22
-
 
 def _load_matrix(path: str) -> net.CorrelationMatrix:
     result = ingest_panel(IngestSpec(path))
@@ -143,9 +139,9 @@ def cmd_network(args: argparse.Namespace) -> int:
         net._check_avg_degree(args.avg_degree)
     matrix = _load_matrix(args.input)
     if args.avg_degree is not None:
-        network = net.top_m_network(matrix, avg_degree=args.avg_degree, max_edges=_MAX_EDGES)
+        network = net.top_m_network(matrix, avg_degree=args.avg_degree)
     else:
-        network = net.threshold_network(matrix, args.rho, args.mode, max_edges=_MAX_EDGES)
+        network = net.threshold_network(matrix, args.rho, args.mode)
     part = net.components(network)
 
     out = Path(args.out_dir)

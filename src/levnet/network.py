@@ -53,8 +53,12 @@ class InsufficientPairsError(ValueError):
 
 
 class EdgeLimitError(ValueError):
-    """More pairs clear the threshold than the caller's edge limit."""
+    """More pairs clear the threshold than ``_MAX_EDGES``."""
 
+
+# a network holds one Python tuple per edge, each far larger than the matrix
+# cell it comes from: at most this many, counted before any is built
+_MAX_EDGES = 1 << 22
 
 # the smallest normal float: a product of sums of squares below it has lost bits
 _TINY = float(np.finfo(np.float64).tiny)
@@ -220,10 +224,10 @@ def _check_avg_degree(avg_degree: float) -> None:
         raise ValueError(f"average degree must be finite and nonnegative, got {avg_degree}")
 
 
-def threshold_network(matrix: CorrelationMatrix, rho: float, mode: LinkMode = "signed",
-                      max_edges: int | None = None) -> LeverageNetwork:
+def threshold_network(matrix: CorrelationMatrix, rho: float,
+                      mode: LinkMode = "signed") -> LeverageNetwork:
     """Link every defined pair whose coefficient clears rho (inclusive).
-    Over ``max_edges`` such pairs, raise EdgeLimitError before any edge is
+    Over ``_MAX_EDGES`` such pairs, raise EdgeLimitError before any edge is
     built."""
     _check_threshold(rho)
     _check_mode(mode)
@@ -234,24 +238,23 @@ def threshold_network(matrix: CorrelationMatrix, rho: float, mode: LinkMode = "s
     if mode == "absolute":
         keep |= vals <= -rho
     keep = np.triu(keep, k=1)
-    if max_edges is not None and (kept := np.count_nonzero(keep)) > max_edges:
+    if (kept := np.count_nonzero(keep)) > _MAX_EDGES:
         raise EdgeLimitError(f"{kept} pairs clear the threshold {rho}: the edge list is "
-                             f"over the limit of {max_edges} edges")
+                             f"over the limit of {_MAX_EDGES} edges")
     ii, jj = np.nonzero(keep)  # row-major: pair order
     edges = tuple(zip(ii.tolist(), jj.tolist(), vals[ii, jj].tolist()))
     return LeverageNetwork(matrix.bank_ids, edges, float(rho), mode)
 
 
 def top_m_network(matrix: CorrelationMatrix, m: int | None = None,
-                  avg_degree: float | None = None,
-                  max_edges: int | None = None) -> LeverageNetwork:
+                  avg_degree: float | None = None) -> LeverageNetwork:
     """Link the M most correlated pairs (signed ordering).
 
     Pass either ``m`` or ``avg_degree``; an average degree k maps to
     M = round(k * n / 2), half away from zero. The result is the threshold
     network at the M-th largest coefficient, so every tie with that cut is
-    included and the realized edge count can exceed M; over ``max_edges``
-    edges, EdgeLimitError is raised before any is built.
+    included and the realized edge count can exceed M, up to
+    ``threshold_network``'s edge limit.
     """
     if (m is None) == (avg_degree is None):
         raise ValueError("pass exactly one of m and avg_degree")
@@ -273,7 +276,7 @@ def top_m_network(matrix: CorrelationMatrix, m: int | None = None,
     # pairs above the cut
     ties = np.flatnonzero(r == cut)
     cut = r[ties[m - 1 - np.count_nonzero(r > cut)]]
-    return replace(threshold_network(matrix, cut, max_edges=max_edges), target_edges=m)
+    return replace(threshold_network(matrix, cut), target_edges=m)
 
 
 @dataclass(frozen=True)

@@ -135,17 +135,21 @@ def _csv_field(text: str) -> str:
     return buf.getvalue()[:-2]
 
 
-# a plain file is read this many bytes at a time: larger blocks read no
-# faster and raise the peak resident set of the commands that ingest
+# a plain file is read this many bytes at a time. On a 2-vCPU x86-64 box
+# one range of the 80 x 5,000 simulated panel read in 100 ms at 512 KiB and
+# 1 MiB, 109 ms at 256 KiB and 136 ms at 64 KiB; a block's arrays take
+# several times its bytes, and ingesting the 1.8 MB reporting panel peaked
+# at 39.3 MiB resident with 1 MiB blocks and at 36.0 MiB with 512 KiB ones
 _BLOCK_BYTES = 1 << 19
 
 # a plain file is split into line-aligned byte ranges, one per allowed CPU,
 # each of at least this size, so a second range starts at twice this size.
 # Timed as the first read of a fresh process (2-vCPU x86-64), a second range
-# pays from about 256 KiB on a quarterly reporting panel, which parses at
-# about 16 ns a byte while a child costs about 2 ms to fork, reap and merge.
-# A panel of 5,000 dates pays from about 1 MB, because each range parses,
-# sends back and merges every date
+# pays from about 1 MB on a quarterly reporting panel, which parses at about
+# 16 ns a byte while a child costs about 2 ms to fork, reap and merge, and
+# at its 1.8 MB saves about 5 ms. A panel of 5,000 dates pays only from
+# about 6 MB (4 ms lost at 1-4 MB, 3 ms won at 8 MB), because each range
+# parses every date and the block reader takes about 5 ns a byte
 _MIN_RANGE_BYTES = 1 << 19
 
 # ingest refuses a dense store over both limits: a sparse file (many banks,

@@ -338,11 +338,11 @@ def test_an_edge_list_over_the_edge_bound_is_refused_before_it_is_built(tmp_path
     def run(out):
         return main(["network", "--input", str(src), *flags, "--out-dir", str(out)])
 
-    monkeypatch.setattr("levnet.cli._MAX_EDGES", 3)
+    monkeypatch.setattr("levnet.network._MAX_EDGES", 3)
     assert run(tmp_path / "built") == EXIT_OK
     assert len((tmp_path / "built" / "edges.csv").read_text().splitlines()) == 1 + 3
     capsys.readouterr()
-    monkeypatch.setattr("levnet.cli._MAX_EDGES", 2)
+    monkeypatch.setattr("levnet.network._MAX_EDGES", 2)
     monkeypatch.setattr("levnet.network.LeverageNetwork",
                         lambda *args: pytest.fail("the edge list was built"))
     out = tmp_path / "refused"
