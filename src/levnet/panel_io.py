@@ -340,9 +340,8 @@ def _spellings(keys: np.ndarray, head: bytes) -> list[bytes]:
 def _runs(words: np.ndarray, lo: np.ndarray, size: np.ndarray) -> tuple[list[bytes], np.ndarray]:
     """The spelling of each run of equal consecutive fields, and the index
     of each field's run."""
-    change = np.empty(len(lo), bool)
+    change = np.zeros(len(lo), bool)
     change[0] = True
-    change[1:] = False
     parts = []
     for w in range(-(-int(size.max()) // 8)):
         # a word past a short field's end is masked to zero whatever it reads
