@@ -413,7 +413,8 @@ def _read_plain(block: bytes, width: int, picks, cols: _Columns, seen: dict | No
     line the same way and without an error: UTF-8 with no quote, NUL or CR,
     the header's field count on every non-blank line, no line over the csv
     field size limit, no empty bank id, and every date and value converts."""
-    # csv unquotes, ends lines at a CR too and, before Python 3.11, rejects NUL
+    # csv unquotes, ends lines at a CR too and, before Python 3.11, rejects
+    # NUL, which a masked word could not tell from the end of a field
     if b'"' in block or b"\0" in block or b"\r" in block:
         return False
     if not block:
