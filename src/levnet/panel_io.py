@@ -159,9 +159,9 @@ _MAX_CELLS_PER_ROW = 64
 
 
 class _Columns:
-    """Bank and date codes and float values of the rows read so far, each
-    column a list of arrays, one per block the block reader adds (its codes
-    are int32) or one from the row loop; each distinct date string is
+    """Bank and date codes (int64) and float values of the rows read so far,
+    each column a list of arrays, one per block the block reader adds or one
+    from the row loop; each distinct date string is
     parsed once, in the order codes are given, and kept as its day's
     ordinal, which a child sends back far faster than a date object."""
 
@@ -185,9 +185,9 @@ class _Columns:
         first = len(self.days)
         self.date_code.update(zip(days, range(first, first + len(days))))
         self.days += map(other.days.__getitem__, map(other.date_code.__getitem__, days))
-        bank = np.fromiter(map(self.bank_code.__getitem__, other.bank_code), np.int32,
+        bank = np.fromiter(map(self.bank_code.__getitem__, other.bank_code), np.int64,
                            len(other.bank_code))
-        date = np.fromiter(map(self.date_code.__getitem__, other.date_code), np.int32,
+        date = np.fromiter(map(self.date_code.__getitem__, other.date_code), np.int64,
                            len(other.date_code))
         # renumbered in place, so that no part is copied to stay
         for part in other.banks:
@@ -356,9 +356,13 @@ def _runs(words: np.ndarray, lo: np.ndarray, size: np.ndarray) -> tuple[list[byt
 
 
 def _float_column(words: np.ndarray, lo: np.ndarray, size: np.ndarray) -> np.ndarray:
-    """The fields' values, ``float`` called once per distinct spelling; a
-    spelling ``float(str)`` would take but ``float(bytes)`` refuses, one not
-    ASCII, raises ValueError, and the row loop then reads the file."""
+    """The fields' values, ``float`` called once per distinct spelling. The
+    row loop calls it on a ``str``: of an ASCII one, ``float`` strips only
+    ASCII whitespace (not U+001C-U+001F, which ``str.strip`` removes) and
+    reads only ASCII digits, as it does of bytes, so only a spelling with a
+    non-ASCII character can convert otherwise. ``float`` of the bytes
+    refuses every such spelling: ValueError, and the row loop then reads
+    the file."""
     one = _one_word(words, lo, size)
     if one is None:
         spellings, index = _runs(words, lo, size)
@@ -366,16 +370,6 @@ def _float_column(words: np.ndarray, lo: np.ndarray, size: np.ndarray) -> np.nda
         distinct, index = _sorted(one[0])
         spellings = _spellings(distinct, one[1])
     return np.frombuffer(_floats(spellings))[index]
-
-
-def _lookup(known: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Where each of ``keys`` sits in the sorted ``known``, and whether it is
-    there."""
-    at = known.searchsorted(keys)
-    hit = np.zeros(len(keys), bool)
-    inside = at < len(known)
-    hit[inside] = known[at[inside]] == keys[inside]
-    return at, hit
 
 
 def _code_column(code: dict[str, int], seen: dict, column: int, words: np.ndarray,
@@ -388,21 +382,21 @@ def _code_column(code: dict[str, int], seen: dict, column: int, words: np.ndarra
     if one is None:
         spellings, index = _runs(words, lo, size)
         codes, new = _codes(code, spellings)
-        return np.array(codes, np.int32)[index], new, {}
+        return np.array(codes, np.int64)[index], new, {}
     keys, head = one
-    known, known_codes = seen.get((column, head), (keys[:0], np.empty(0, np.int32)))
-    at, hit = _lookup(known, keys)
-    if hit.all():
-        return known_codes[at], {}, {}
-    distinct, index = _sorted(keys)
-    at, hit = _lookup(known, distinct)
-    codes = np.empty(len(distinct), np.int32)
-    codes[hit] = known_codes[at[hit]]
-    missed, new = _codes(code, _spellings(distinct[~hit], head))
-    codes[~hit] = missed
-    known = np.insert(known, at[~hit], distinct[~hit])
-    known_codes = np.insert(known_codes, at[~hit], missed)
-    return codes[index], new, {(column, head): (known, known_codes)}
+    known, known_codes = seen.get((column, head), (keys[:0], np.empty(0, np.int64)))
+    # a key past the last known one is clipped onto it, which it differs from
+    at = known.searchsorted(keys)
+    miss = known.take(at, mode="clip") != keys if len(known) else np.ones(len(keys), bool)
+    new, entry = {}, {}
+    if miss.any():
+        fresh = _sorted(keys[miss])[0]
+        codes, new = _codes(code, _spellings(fresh, head))
+        at = known.searchsorted(fresh)
+        known, known_codes = np.insert(known, at, fresh), np.insert(known_codes, at, codes)
+        entry = {(column, head): (known, known_codes)}
+        at = known.searchsorted(keys)
+    return known_codes[at], new, entry
 
 
 def _read_plain(block: bytes, width: int, picks, cols: _Columns, seen: dict | None = None) -> bool:
@@ -524,11 +518,8 @@ def _read_plain_file(spec: IngestSpec, path: Path) -> _Columns | None:
         # one leading byte-order mark is no part of the header, as for utf-8-sig
         line = fh.readline().removeprefix(codecs.BOM_UTF8)
         start, size = fh.tell(), os.fstat(fh.fileno()).st_size
-        # a header the csv reader might split otherwise is left to it; so is
-        # a file of 8 GiB or more, since only a smaller one, whose rows take
-        # at least 4 bytes (three commas and a newline), has fewer than 2^31
-        # rows and so fewer bank or date codes than the block reader's int32
-        if (not line.rstrip(b"\n") or len(line) > csv.field_size_limit() or size >= 1 << 33
+        # a header the csv reader might split otherwise is left to it
+        if (not line.rstrip(b"\n") or len(line) > csv.field_size_limit()
                 or any(c in line for c in (b'"', b"\r", b"\0"))):
             return None
         try:

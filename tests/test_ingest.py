@@ -12,7 +12,6 @@ import pickle
 import signal
 import threading
 import time
-import types
 from array import array
 
 import pytest
@@ -333,6 +332,21 @@ def test_floats_match_a_float_per_string(strings):
     assert converted(panel_io._floats) == converted(lambda s: array("d", map(float, s)))
 
 
+def test_float_of_the_bytes_reads_a_spelling_as_float_of_the_str_or_refuses_it():
+    """The block reader converts a value's bytes, the row loop its str: each
+    ASCII spelling converts alike, and each other one is refused as bytes."""
+    def converted(text):
+        try:
+            return float(text).hex()
+        except ValueError:
+            return ValueError
+    pads = [chr(c) for c in range(0x80)] + ["\x85", "\xa0", "\u2003", "\u3000", "\u0661"]
+    for pad in pads:
+        for text in (pad + "7", "7" + pad, pad + "7" + pad, "1" + pad + "5", "-" + pad + "1e2"):
+            as_bytes = converted(text.encode())
+            assert as_bytes == (converted(text) if text.isascii() else ValueError), text
+
+
 def test_block_that_is_not_plain_leaves_the_columns_as_they_were():
     cols = panel_io._Columns()
     picks = (0, 1, 2, 3)
@@ -345,17 +359,6 @@ def test_block_that_is_not_plain_leaves_the_columns_as_they_were():
     before = state()
     assert not panel_io._read_plain(b"c,2005-06-30,2,1\na,2005-06-30,x,1\n", 4, picks, cols)
     assert state() == before
-
-
-def test_a_file_of_8_gib_is_left_to_the_row_loop(tmp_path, monkeypatch):
-    """The block reader's codes are int32: a file under 8 GiB has fewer than
-    2^31 rows, each of at least 4 bytes, so no code can pass them."""
-    path = tmp_path / "p.csv"
-    path.write_bytes(PLAIN_HEAD)
-    spec = IngestSpec(str(path))
-    assert panel_io._read_plain_file(spec, path).bank_code == {"a": 0, "b": 1}
-    monkeypatch.setattr(os, "fstat", lambda fd: types.SimpleNamespace(st_size=1 << 33))
-    assert panel_io._read_plain_file(spec, path) is None
 
 
 @pytest.mark.parametrize("by_row", [False, True], ids=["block reader", "row loop"])
